@@ -145,6 +145,23 @@ func RunKernel(reg *serialize.Registry, msg serialize.TaskMsg, workerID string) 
 	return res
 }
 
+// RunWire executes one wire envelope through RunKernel. The argument payload
+// — encoded once at submit time — is decoded here, on the goroutine about to
+// run the task, and nowhere else; the decode is the worker's private deep
+// copy, so no further isolation copy is needed. The frame's bytes go straight
+// to the decoder, with no intermediate Payload wrapper and no buffer copy.
+func RunWire(reg *serialize.Registry, w serialize.WireTask, workerID string) serialize.ResultMsg {
+	args, kwargs, err := serialize.DecodeArgsBytes(w.P)
+	if err != nil {
+		return serialize.ResultMsg{ID: w.ID, WorkerID: workerID, Err: fmt.Sprintf("decode task %d: %v", w.ID, err)}
+	}
+	return RunKernel(reg, serialize.TaskMsg{
+		ID: w.ID, App: w.App, Priority: w.Priority,
+		Tenant: w.Tenant, Weight: w.Weight,
+		Args: args, Kwargs: kwargs,
+	}, workerID)
+}
+
 // Complete applies a ResultMsg to a future using the error conventions above.
 func Complete(fut *future.Future, res serialize.ResultMsg) {
 	if res.Err != "" {

@@ -6,24 +6,27 @@
 // EXEX reach 262 144 workers where connection-per-worker designs exhaust the
 // hub.
 //
+// Rank 0 is not a second implementation of the manager protocol: it is an
+// ordinary htex manager agent (htex.StartAgent) — registration, prefetch,
+// result batching, heartbeats, cancellation, clean drain and the stream
+// NACK resync all come from there — whose worker i hands each task to MPI
+// rank i+1 and blocks for its result instead of running the kernel itself.
+//
 // The cost is MPI's fault model: a single rank failure aborts the entire
-// pool, which surfaces here exactly as the paper describes — the interchange
-// heartbeat expires and every in-flight task of the pool is reported lost.
-// The recommended mitigation, several smaller pools per scheduler job, is
-// the deployment shape New builds (one pool per node).
+// pool. The aborted communicator stops the agent, its connection drops, and
+// the interchange reports every in-flight task of the pool lost. The
+// recommended mitigation, several smaller pools per scheduler job, is the
+// deployment shape New builds (one pool per node).
 package exex
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/executor"
 	"repro/internal/executor/htex"
 	"repro/internal/mpi"
-	"repro/internal/mq"
 	"repro/internal/provider"
 	"repro/internal/serialize"
 	"repro/internal/simnet"
@@ -37,14 +40,15 @@ const (
 
 // PoolConfig tunes one MPI worker pool.
 type PoolConfig struct {
-	// Ranks is the MPI communicator size: 1 manager + (Ranks-1) workers.
+	// Ranks is the MPI communicator size: 1 manager + (Ranks-1) workers
+	// (default and minimum 2).
 	Ranks int
-	// Prefetch is extra capacity advertised beyond worker count.
-	Prefetch int
-	// ResultFlush / FlushInterval batch results toward the interchange.
-	ResultFlush   int
-	FlushInterval time.Duration
-	// HeartbeatPeriod is the manager's interchange heartbeat.
+	// Prefetch, ResultFlush, FlushInterval and HeartbeatPeriod configure the
+	// rank-0 agent exactly as the same htex.ManagerConfig fields do, with
+	// the same defaults.
+	Prefetch        int
+	ResultFlush     int
+	FlushInterval   time.Duration
 	HeartbeatPeriod time.Duration
 	// MPILatency simulates fabric point-to-point latency.
 	MPILatency time.Duration
@@ -54,38 +58,26 @@ func (c *PoolConfig) normalize() {
 	if c.Ranks < 2 {
 		c.Ranks = 2
 	}
-	if c.ResultFlush <= 0 {
-		c.ResultFlush = 16
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = 5 * time.Millisecond
-	}
-	if c.HeartbeatPeriod <= 0 {
-		c.HeartbeatPeriod = 200 * time.Millisecond
+}
+
+// agent is the rank-0 manager configuration: one agent worker per worker
+// rank.
+func (c PoolConfig) agent() htex.ManagerConfig {
+	return htex.ManagerConfig{
+		Workers:         c.Ranks - 1,
+		Prefetch:        c.Prefetch,
+		ResultFlush:     c.ResultFlush,
+		FlushInterval:   c.FlushInterval,
+		HeartbeatPeriod: c.HeartbeatPeriod,
 	}
 }
 
-// Pool is one MPI job: rank 0 manager plus worker ranks.
+// Pool is one MPI job: a rank-0 manager agent plus worker ranks.
 type Pool struct {
-	id   string
-	cfg  PoolConfig
-	comm *mpi.Comm
-	reg  *serialize.Registry
-
-	dealer *mq.Dealer
-	// resEnc is this pool's persistent RESULTS stream toward the
-	// interchange. A field (not loop-local) because the NACK resync
-	// protocol resets it from the receive loop (see managerRecvLoop).
-	resEnc *htex.ResultStreamEncoder
-
-	done     chan struct{}
-	once     sync.Once
-	wg       sync.WaitGroup
-	executed atomic.Int64
-
-	mu       sync.Mutex
-	busy     map[int]bool // worker rank -> executing
-	inflight map[int64]int
+	id    string
+	comm  *mpi.Comm
+	reg   *serialize.Registry
+	agent *htex.Manager
 }
 
 // StartPool launches an MPI pool whose rank 0 registers with the interchange
@@ -97,34 +89,20 @@ func StartPool(tr simnet.Transport, addr, id string, reg *serialize.Registry, cf
 		return nil, fmt.Errorf("exex: pool %s: %w", id, err)
 	}
 	comm.SetLatency(cfg.MPILatency)
-
-	dealer, err := mq.DialDealer(tr, addr, id)
+	p := &Pool{id: id, comm: comm, reg: reg}
+	p.agent, err = htex.StartAgent(tr, addr, id, cfg.agent(), p.run)
 	if err != nil {
-		return nil, fmt.Errorf("exex: pool %s dial: %w", id, err)
+		return nil, fmt.Errorf("exex: pool %s: %w", id, err)
 	}
-	p := &Pool{
-		id: id, cfg: cfg, comm: comm, reg: reg, dealer: dealer,
-		resEnc:   htex.NewResultStreamEncoder(),
-		done:     make(chan struct{}),
-		busy:     make(map[int]bool),
-		inflight: make(map[int64]int),
-	}
-	capacity := (cfg.Ranks - 1) + cfg.Prefetch
-	if err := dealer.Send(mq.Message{[]byte("REG"), []byte(fmt.Sprintf("%d", capacity))}); err != nil {
-		_ = dealer.Close()
-		return nil, fmt.Errorf("exex: pool %s register: %w", id, err)
-	}
-
-	// Worker ranks 1..n-1.
 	for r := 1; r < cfg.Ranks; r++ {
-		p.wg.Add(1)
 		go p.workerRank(r)
 	}
-	// Rank 0: manager-side loops.
-	p.wg.Add(3)
-	go p.managerRecvLoop()
-	go p.managerResultLoop()
-	go p.heartbeatLoop()
+	// Whatever stops the agent — the interchange hanging up or going
+	// silent, a drain, a kill — takes the MPI job down with it.
+	go func() {
+		<-p.agent.Done()
+		comm.Abort(-1)
+	}()
 	return p, nil
 }
 
@@ -132,203 +110,60 @@ func StartPool(tr simnet.Transport, addr, id string, reg *serialize.Registry, cf
 func (p *Pool) ID() string { return p.id }
 
 // Executed returns tasks completed by this pool.
-func (p *Pool) Executed() int64 { return p.executed.Load() }
+func (p *Pool) Executed() int64 { return p.agent.Executed() }
 
 // Comm exposes the communicator for failure injection in tests.
 func (p *Pool) Comm() *mpi.Comm { return p.comm }
 
+// run is the agent's Runner: worker i owns rank i+1, so it sends the task
+// there and blocks for that rank's result. The MPI interior uses one-shot
+// envelopes (every rank must decode standalone), and the argument payload
+// inside is the submit-time encoding, forwarded byte-for-byte — rank 0 never
+// re-serializes arguments. An aborted communicator stops the agent.
+func (p *Pool) run(worker int, w serialize.WireTask) (serialize.ResultMsg, error) {
+	rank := worker + 1
+	payload, err := serialize.EncodeWire(w)
+	if err != nil {
+		return serialize.ResultMsg{ID: w.ID, Err: err.Error()}, nil
+	}
+	if err := p.comm.Send(0, rank, tagTask, payload); err != nil {
+		return serialize.ResultMsg{}, err
+	}
+	env, err := p.comm.Recv(0, rank, tagResult)
+	if err != nil {
+		return serialize.ResultMsg{}, err
+	}
+	res, err := serialize.DecodeResult(env.Data)
+	if err != nil {
+		return serialize.ResultMsg{ID: w.ID, Err: err.Error()}, nil
+	}
+	return res, nil
+}
+
 // workerRank is the code running on MPI ranks 1..n-1: receive a task over
-// MPI, execute, send the result back to rank 0.
+// MPI, execute, send the result back to rank 0. Every task gets an answer —
+// rank 0's worker is blocked on it.
 func (p *Pool) workerRank(rank int) {
-	defer p.wg.Done()
 	workerID := fmt.Sprintf("%s/rank%d", p.id, rank)
 	for {
 		env, err := p.comm.Recv(rank, 0, tagTask)
 		if err != nil {
-			return // communicator aborted: the whole pool dies
+			p.agent.Stop() // communicator aborted: the whole pool dies
+			return
 		}
-		task, err := serialize.DecodeTask(env.Data)
-		if err != nil {
-			continue
+		var res serialize.ResultMsg
+		if w, err := serialize.DecodeWire(env.Data); err != nil {
+			res = serialize.ResultMsg{WorkerID: workerID, Err: err.Error()}
+		} else {
+			res = executor.RunWire(p.reg, w, workerID)
 		}
-		res := executor.RunKernel(p.reg, task, workerID)
 		payload, err := serialize.EncodeResult(res)
 		if err != nil {
-			continue
+			payload, _ = serialize.EncodeResult(serialize.ResultMsg{ID: res.ID, WorkerID: workerID, Err: err.Error()})
 		}
 		if err := p.comm.Send(rank, 0, tagResult, payload); err != nil {
+			p.agent.Stop()
 			return
-		}
-	}
-}
-
-// managerRecvLoop is rank 0's interchange-facing half: receive task batches
-// off the interchange's per-manager stream and fan them out to idle worker
-// ranks over MPI.
-func (p *Pool) managerRecvLoop() {
-	defer p.wg.Done()
-	taskDec := htex.NewTaskStreamDecoder()
-	for {
-		msg, err := p.dealer.Recv()
-		if err != nil {
-			p.Stop()
-			return
-		}
-		if len(msg) == 0 {
-			continue
-		}
-		switch string(msg[0]) {
-		case "TASKS":
-			if len(msg) < 2 {
-				continue
-			}
-			batch, err := taskDec.Decode(msg[1])
-			if err != nil {
-				// Same resync contract as htex managers: NACK so the
-				// interchange restarts this pool's task stream and requeues
-				// what the pool was holding — without it one corrupted frame
-				// would wedge the pool's stream for the rest of the session.
-				_ = p.dealer.Send(htex.NackMessage(msg[1]))
-				continue
-			}
-			for _, t := range batch {
-				if !p.dispatchMPI(t) {
-					return
-				}
-			}
-		case "HB":
-			// Interchange liveness echo; nothing to track beyond receipt.
-		case "NACK":
-			// The interchange cannot decode this pool's RESULTS stream:
-			// resync to a fresh self-describing epoch (epoch-matched, so
-			// duplicate NACKs for one epoch collapse to one reset).
-			if len(msg) >= 2 {
-				if ep := htex.NackEpoch(msg[1]); ep != 0 && p.resEnc.Epoch() == ep {
-					p.resEnc.Reset()
-				}
-			}
-		}
-	}
-}
-
-// dispatchMPI sends one task to an idle rank, blocking until one frees. The
-// MPI interior uses one-shot envelopes (every rank must decode standalone),
-// and the argument payload inside is the submit-time encoding, forwarded
-// byte-for-byte — rank 0 never re-serializes arguments.
-func (p *Pool) dispatchMPI(t serialize.WireTask) bool {
-	payload, err := serialize.EncodeWire(t)
-	if err != nil {
-		return true
-	}
-	for {
-		rank := -1
-		p.mu.Lock()
-		for r := 1; r < p.cfg.Ranks; r++ {
-			if !p.busy[r] {
-				p.busy[r] = true
-				rank = r
-				break
-			}
-		}
-		if rank >= 0 {
-			p.inflight[t.ID] = rank
-		}
-		p.mu.Unlock()
-		if rank >= 0 {
-			return p.comm.Send(0, rank, tagTask, payload) == nil
-		}
-		select {
-		case <-p.done:
-			return false
-		case <-time.After(time.Millisecond):
-		}
-	}
-}
-
-// managerResultLoop is rank 0's MPI-facing half: gather results from worker
-// ranks and batch them to the interchange.
-func (p *Pool) managerResultLoop() {
-	defer p.wg.Done()
-	var batch []serialize.ResultMsg
-	flushTimer := time.NewTimer(p.cfg.FlushInterval)
-	defer flushTimer.Stop()
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		_ = p.resEnc.Encode(batch, func(frame []byte) error {
-			return chaos.Frame(chaos.PointMgrResults, p.id, frame, func(fr []byte) error {
-				return p.dealer.Send(mq.Message{[]byte("RESULTS"), fr})
-			})
-		})
-		batch = nil
-	}
-	for {
-		select {
-		case <-p.done:
-			flush()
-			return
-		default:
-		}
-		ok, err := p.comm.Probe(0, mpi.AnySource, tagResult)
-		if err != nil {
-			flush()
-			p.Stop()
-			return
-		}
-		if !ok {
-			select {
-			case <-flushTimer.C:
-				flush()
-				flushTimer.Reset(p.cfg.FlushInterval)
-			case <-time.After(200 * time.Microsecond):
-			case <-p.done:
-				flush()
-				return
-			}
-			continue
-		}
-		env, err := p.comm.Recv(0, mpi.AnySource, tagResult)
-		if err != nil {
-			flush()
-			p.Stop()
-			return
-		}
-		res, err := serialize.DecodeResult(env.Data)
-		if err != nil {
-			continue
-		}
-		p.executed.Add(1)
-		p.mu.Lock()
-		p.busy[env.Source] = false
-		delete(p.inflight, res.ID)
-		p.mu.Unlock()
-		batch = append(batch, res)
-		if len(batch) >= p.cfg.ResultFlush {
-			flush()
-		}
-	}
-}
-
-func (p *Pool) heartbeatLoop() {
-	defer p.wg.Done()
-	ticker := time.NewTicker(p.cfg.HeartbeatPeriod)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-p.done:
-			return
-		case <-ticker.C:
-			if p.comm.Aborted() {
-				// MPI job died (rank failure): stop heartbeating so the
-				// interchange declares the pool lost.
-				p.Stop()
-				return
-			}
-			if err := p.dealer.Send(mq.Message{[]byte("HB")}); err != nil {
-				p.Stop()
-				return
-			}
 		}
 	}
 }
@@ -337,19 +172,17 @@ func (p *Pool) heartbeatLoop() {
 // MPI job (§4.3.2's fault model).
 func (p *Pool) FailRank(rank int) { p.comm.Abort(rank) }
 
-// Drain announces clean departure, requeueing in-flight work.
+// Drain announces clean departure, so the interchange requeues in-flight
+// work, then tears the pool down.
 func (p *Pool) Drain() {
-	_ = p.dealer.Send(mq.Message{[]byte("BYE")})
+	p.agent.Drain()
 	p.Stop()
 }
 
 // Stop tears the pool down.
 func (p *Pool) Stop() {
-	p.once.Do(func() {
-		close(p.done)
-		p.comm.Abort(-1)
-		_ = p.dealer.Close()
-	})
+	p.agent.Stop()
+	p.comm.Abort(-1)
 }
 
 // Config assembles an EXEX deployment: an HTEX-protocol interchange plus
@@ -393,13 +226,9 @@ func New(cfg Config) *Executor {
 		Registry:   cfg.Registry,
 		Provider:   cfg.Provider,
 		InitBlocks: cfg.InitBlocks,
-		// Mirror the pool's heartbeat clock into ManagerConfig so the htex
-		// client's period-vs-threshold cross-check validates the clock the
-		// pools actually beat at, not the default manager period.
-		Manager: htex.ManagerConfig{
-			Workers:         cfg.Pool.Ranks - 1,
-			HeartbeatPeriod: cfg.Pool.HeartbeatPeriod,
-		},
+		// The pools' agent configuration, so the htex client validates it and
+		// cross-checks the heartbeat clock the pools actually beat at.
+		Manager:     cfg.Pool.agent(),
 		Interchange: cfg.Interchange,
 		PayloadFactory: func(addr string, node provider.Node) (func(), error) {
 			id := fmt.Sprintf("pool-%s-%d", node.BlockID, e.poolSeq.Add(1))

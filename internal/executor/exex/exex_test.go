@@ -2,6 +2,7 @@ package exex
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/executor"
 	"repro/internal/executor/htex"
 	"repro/internal/future"
+	"repro/internal/mq"
 	"repro/internal/provider"
 	"repro/internal/serialize"
 	"repro/internal/simnet"
@@ -118,7 +120,8 @@ func TestAppErrorThroughPool(t *testing.T) {
 func TestRankFailureKillsWholePool(t *testing.T) {
 	// §4.3.2: "job and node failures can result in the loss of the entire
 	// MPI application". Killing one rank must fail in-flight tasks of the
-	// whole pool via heartbeat expiry.
+	// whole pool: the aborted communicator stops the rank-0 agent, and the
+	// interchange reports its tasks lost on the disconnect.
 	tr := simnet.NewNetwork(0)
 	reg := testRegistry(t)
 	cfg := Config{
@@ -277,4 +280,133 @@ func TestStreamCorruptionRecovery(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// startBare starts an executor with no provider pools; the tests attach pools
+// with StartPool so they hold each Pool handle.
+func startBare(t *testing.T, label string, reg *serialize.Registry, pool PoolConfig) (*Executor, simnet.Transport) {
+	t.Helper()
+	tr := simnet.NewNetwork(0)
+	e := New(Config{
+		Label: label, Transport: tr, Registry: reg,
+		Provider:    provider.NewLocal(provider.Config{NodesPerBlock: 1}),
+		Pool:        pool,
+		Interchange: htexInterchangeCfg(),
+	})
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = e.Shutdown() })
+	return e, tr
+}
+
+// TestPoolDrainRequeuesInFlight: a pool drained with a task on one of its
+// ranks hands the task back — the interchange processes the BYE before the
+// disconnect and requeues it onto another pool, so the client never sees a
+// LostError.
+func TestPoolDrainRequeuesInFlight(t *testing.T) {
+	reg := testRegistry(t)
+	poolCfg := PoolConfig{Ranks: 2, HeartbeatPeriod: 30 * time.Millisecond}
+	e, tr := startBare(t, "exex-drain", reg, poolCfg)
+	first, err := StartPool(tr, e.Interchange().Addr(), "pool-first", reg, poolCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, "first pool registered", func() bool { return e.Interchange().ManagerCount() == 1 })
+	fut := e.Submit(serialize.TaskMsg{ID: 1, App: "sleep", Args: []any{100}})
+	waitCond(t, "task in flight on the first pool", func() bool {
+		return e.Interchange().OutstandingByManager()["pool-first"] == 1
+	})
+	second, err := StartPool(tr, e.Interchange().Addr(), "pool-second", reg, poolCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Stop()
+	waitCond(t, "second pool registered", func() bool { return e.Interchange().ManagerCount() == 2 })
+
+	first.Drain()
+	// Drain returns only once the interchange has processed the BYE and hung
+	// up, so the pool's departure is already settled here.
+	if n := e.Interchange().ManagerCount(); n != 1 {
+		t.Fatalf("%d pools registered right after Drain, want 1", n)
+	}
+	v, err := fut.ResultTimeout(5 * time.Second)
+	if err != nil || v != "slept" {
+		t.Fatalf("drained task: %v, %v (want requeue, not loss)", v, err)
+	}
+	if second.Executed() != 1 {
+		t.Fatalf("second pool executed %d, want the requeued task", second.Executed())
+	}
+	if !first.Comm().Aborted() {
+		t.Fatal("drained pool's MPI job still running")
+	}
+}
+
+// TestPoolExitsWhenInterchangeSilent: a pool whose interchange stops
+// answering heartbeats (connection up, peer mute) shuts down, MPI job and
+// all, instead of holding its ranks forever.
+func TestPoolExitsWhenInterchangeSilent(t *testing.T) {
+	tr := simnet.NewNetwork(0)
+	mute, err := mq.NewRouter(tr, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mute.Close()
+	pool, err := StartPool(tr, mute.Addr(), "pool-orphan", testRegistry(t),
+		PoolConfig{Ranks: 3, HeartbeatPeriod: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Stop()
+	waitCond(t, "pool exits", pool.Comm().Aborted)
+}
+
+// TestCanceledQueuedTaskNeverReachesRank: a task canceled while it waits in
+// the pool's prefetch buffer is dropped by rank 0 and never sent to an MPI
+// rank.
+func TestCanceledQueuedTaskNeverReachesRank(t *testing.T) {
+	reg := testRegistry(t)
+	var marked atomic.Int32
+	if err := reg.Register("mark", func([]any, map[string]any) (any, error) {
+		marked.Add(1)
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	poolCfg := PoolConfig{Ranks: 2, Prefetch: 1, HeartbeatPeriod: 30 * time.Millisecond}
+	e, tr := startBare(t, "exex-cancel", reg, poolCfg)
+	pool, err := StartPool(tr, e.Interchange().Addr(), "pool-cancel", reg, poolCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Stop()
+	waitCond(t, "pool registered", func() bool { return e.Interchange().ManagerCount() == 1 })
+
+	// One worker rank: the sleep occupies it while the mark task waits in
+	// the prefetch slot.
+	busy := e.Submit(serialize.TaskMsg{ID: 1, App: "sleep", Args: []any{150}})
+	queued := e.Submit(serialize.TaskMsg{ID: 2, App: "mark"})
+	waitCond(t, "both tasks on the pool", func() bool {
+		return e.Interchange().OutstandingByManager()["pool-cancel"] == 2
+	})
+	if !e.Cancel(2) {
+		t.Fatal("cancel reported the task already settled")
+	}
+	if _, err := busy.ResultTimeout(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// The single rank serves the buffer in order, so once a later task has
+	// run, the canceled one has been dequeued and dropped.
+	if _, err := e.Submit(serialize.TaskMsg{ID: 3, App: "echo", Args: []any{3}}).ResultTimeout(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n := marked.Load(); n != 0 {
+		t.Fatalf("canceled task ran %d times on a rank", n)
+	}
+	if got := pool.Executed(); got != 2 {
+		t.Fatalf("pool executed %d tasks, want 2 (the canceled one skipped)", got)
+	}
+	if !queued.Done() {
+		t.Fatal("canceled future not settled")
+	}
 }

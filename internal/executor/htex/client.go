@@ -46,31 +46,53 @@ type Config struct {
 	Shards int
 	// PayloadFactory overrides what runs on each provisioned node. The
 	// default starts a Manager; EXEX injects an MPI worker pool whose rank
-	// 0 speaks the same manager protocol (§4.3.2's hierarchical model).
+	// 0 is a manager agent (StartAgent; §4.3.2's hierarchical model).
 	PayloadFactory func(interchangeAddr string, node provider.Node) (stop func(), err error)
 }
 
 // shardConn is one shard's live connection state: the broker, the dealer
-// connection, and the per-connection stream codec pair. It sits behind an
-// atomic pointer on shardLink so RestoreShard can swap a respawned broker in
-// without racing the receive loop, the senders, or monitoring probes still
-// holding the previous connection.
+// connection, and the stream link over it (TASKB out, RESULTS in — gob type
+// descriptors cross each wire once per session, not per batch). It sits
+// behind an atomic pointer on shardHandle so RestoreShard can swap a respawned
+// broker in without racing the receive loop, the senders, or monitoring
+// probes still holding the previous connection.
 type shardConn struct {
 	ix     *Interchange
 	dealer *mq.Dealer
-	// taskEnc streams TASKB frames to this shard; resDec consumes its
-	// RESULTS stream. One pair per shard connection — gob type descriptors
-	// cross each wire once per session, not per batch.
-	taskEnc *serialize.StreamEncoder
-	resDec  *serialize.StreamDecoder
+	link   *link
 }
 
-// shardLink is the client's handle to one interchange shard: the current
+// dialShard starts one interchange shard and connects the client to it.
+func (e *Executor) dialShard(i int, label string) (*shardConn, error) {
+	addr := e.cfg.Addr
+	if addr == "" {
+		addr = ":0"
+	}
+	ixCfg := e.cfg.Interchange
+	ixCfg.Label = label
+	if ixCfg.Seed != 0 {
+		// Decorrelate the shards' manager-selection streams while keeping
+		// the whole deployment a pure function of the configured seed.
+		ixCfg.Seed += int64(i)
+	}
+	ix, err := StartInterchange(e.cfg.Transport, addr, ixCfg)
+	if err != nil {
+		return nil, err
+	}
+	dealer, err := mq.DialDealer(e.cfg.Transport, ix.Addr(), clientIdentity)
+	if err != nil {
+		_ = ix.Close()
+		return nil, fmt.Errorf("htex: client dial %s: %w", label, err)
+	}
+	return &shardConn{ix: ix, dealer: dealer, link: dealerLink(chaos.PointClientSend, label, dealer)}, nil
+}
+
+// shardHandle is the client's handle to one interchange shard: the current
 // connection (swappable on restore), the command-reply channel, and the
 // shard's circuit breaker. Everything here is per-shard because the
 // invariants are per-shard: a NACK resyncs one shard's stream, a breaker
 // trips on one shard's sends, a death fails one shard's inflight.
-type shardLink struct {
+type shardHandle struct {
 	idx   int
 	label string // "htex[0]" — the shard's chaos/breaker/LOST identity
 	conn  atomic.Pointer[shardConn]
@@ -81,10 +103,13 @@ type shardLink struct {
 	breaker    *health.Breaker
 	cmdReplies chan mq.Message
 	down       atomic.Bool
+	// failed lists every wire id the client failed on this shard's account:
+	// the death sweep plus failed sends. Guarded by Executor.mu.
+	failed []int64
 }
 
 // broker returns the shard's current interchange.
-func (s *shardLink) broker() *Interchange { return s.conn.Load().ix }
+func (s *shardHandle) broker() *Interchange { return s.conn.Load().ix }
 
 // inflightTask is one submitted-but-unresolved task plus the shard it was
 // placed on — the shard is what lets a NACK retransmit or a shard death
@@ -99,7 +124,7 @@ type inflightTask struct {
 type Executor struct {
 	cfg Config
 
-	shards []*shardLink
+	shards []*shardHandle
 	smap   *ShardMap
 
 	mu        sync.Mutex
@@ -219,9 +244,9 @@ func (e *Executor) Start() error {
 	// that pings slower than the interchange's loss threshold would be
 	// declared dead while perfectly healthy. The check applies to custom
 	// PayloadFactory pools too — whatever speaks the manager protocol on the
-	// nodes inherits ManagerConfig's heartbeat clock (EXEX mirrors its pool
-	// period into it), and the interchange polices the threshold regardless
-	// of what runs behind the dealer.
+	// nodes inherits ManagerConfig's heartbeat clock (EXEX passes its pools'
+	// agent configuration), and the interchange polices the threshold
+	// regardless of what runs behind the dealer.
 	mgrCfg, ixCfg := e.cfg.Manager, e.cfg.Interchange
 	mgrCfg.normalize()
 	ixCfg.normalize()
@@ -231,16 +256,12 @@ func (e *Executor) Start() error {
 	}
 
 	n := e.cfg.Shards
-	addr := e.cfg.Addr
-	if addr == "" {
-		addr = ":0"
-	}
-	if n > 1 && !strings.HasSuffix(addr, ":0") {
+	if n > 1 && e.cfg.Addr != "" && !strings.HasSuffix(e.cfg.Addr, ":0") {
 		return fmt.Errorf("htex: %d shards cannot share fixed address %q (use an auto-assign :0 form)", n, e.cfg.Addr)
 	}
 
 	e.smap = NewShardMap(n)
-	e.shards = make([]*shardLink, 0, n)
+	e.shards = make([]*shardHandle, 0, n)
 	fail := func(err error) error {
 		for _, s := range e.shards {
 			c := s.conn.Load()
@@ -250,34 +271,18 @@ func (e *Executor) Start() error {
 		return err
 	}
 	for i := 0; i < n; i++ {
-		ixCfg := e.cfg.Interchange
-		ixCfg.Label = fmt.Sprintf("%s[%d]", e.cfg.Label, i)
-		if ixCfg.Seed != 0 {
-			// Decorrelate the shards' manager-selection streams while keeping
-			// the whole deployment a pure function of the configured seed.
-			ixCfg.Seed += int64(i)
-		}
-		ix, err := StartInterchange(e.cfg.Transport, addr, ixCfg)
+		label := fmt.Sprintf("%s[%d]", e.cfg.Label, i)
+		c, err := e.dialShard(i, label)
 		if err != nil {
 			return fail(err)
 		}
-		dealer, err := mq.DialDealer(e.cfg.Transport, ix.Addr(), clientIdentity)
-		if err != nil {
-			_ = ix.Close()
-			return fail(fmt.Errorf("htex: client dial %s: %w", ixCfg.Label, err))
-		}
-		s := &shardLink{
+		s := &shardHandle{
 			idx:        i,
-			label:      ixCfg.Label,
+			label:      label,
 			breaker:    health.NewBreaker(health.BreakerConfig{}),
 			cmdReplies: make(chan mq.Message, 16),
 		}
-		s.conn.Store(&shardConn{
-			ix:      ix,
-			dealer:  dealer,
-			taskEnc: serialize.NewStreamEncoder(),
-			resDec:  serialize.NewStreamDecoder(),
-		})
+		s.conn.Store(c)
 		e.shards = append(e.shards, s)
 		e.wg.Add(1)
 		go e.recvLoop(s)
@@ -298,7 +303,7 @@ func (e *Executor) Start() error {
 // shard-death rebalance path. The loop is bound to one connection: a
 // RestoreShard swap starts a fresh loop, and this one exits without
 // reporting a death that belongs to the connection it was reading.
-func (e *Executor) recvLoop(s *shardLink) {
+func (e *Executor) recvLoop(s *shardHandle) {
 	defer e.wg.Done()
 	c := s.conn.Load()
 	for {
@@ -321,12 +326,11 @@ func (e *Executor) recvLoop(s *shardLink) {
 				continue
 			}
 			var results []serialize.ResultMsg
-			if err := c.resDec.DecodeFrame(msg[1], &results); err != nil {
-				// This shard's RESULTS stream is undecodable mid-epoch; NACK
-				// so it resyncs on a fresh self-describing epoch. Tasks whose
-				// results rode the lost frame stay pending here and recover
-				// via the DFK's attempt timeout (see codec.go).
-				_ = c.dealer.Send(mq.Message{[]byte(frameNack), nackPayload(msg[1])})
+			// An undecodable frame is NACKed so the shard resyncs on a fresh
+			// self-describing epoch. Tasks whose results rode the lost frame
+			// stay pending here and recover via the DFK's attempt timeout
+			// (codec.go).
+			if !c.link.recv(msg[1], &results) {
 				continue
 			}
 			for _, r := range results {
@@ -357,10 +361,9 @@ func (e *Executor) recvLoop(s *shardLink) {
 			default:
 			}
 		case frameNack:
-			if len(msg) < 2 {
-				continue
+			if len(msg) >= 2 && c.link.nacked(msg[1]) {
+				e.retransmit(s, c)
 			}
-			e.handleNack(s, c, nackEpoch(msg[1]))
 		}
 	}
 }
@@ -372,7 +375,7 @@ func (e *Executor) recvLoop(s *shardLink) {
 // the DFK's retry plane re-executes only the dead shard's outstanding set —
 // the other shards' queues and inflight tasks never notice. Idempotent: the
 // receive loop and KillShard may both report the same death.
-func (e *Executor) shardDown(s *shardLink) {
+func (e *Executor) shardDown(s *shardHandle) {
 	if !s.down.CompareAndSwap(false, true) {
 		return
 	}
@@ -386,8 +389,20 @@ func (e *Executor) shardDown(s *shardLink) {
 	}
 	e.mu.Unlock()
 	for _, id := range lost {
-		e.fail(id, &executor.LostError{TaskID: id, Detail: "interchange shard lost", Manager: s.label})
+		e.failOnShard(s, id, &executor.LostError{TaskID: id, Detail: "interchange shard lost", Manager: s.label})
 	}
+}
+
+// FailedOnShard reports every wire id the client failed on shard i's account
+// — its death sweep plus failed sends to it — in failure order. The failover
+// scenario holds re-execution to exactly this set.
+func (e *Executor) FailedOnShard(i int) []int64 {
+	if i < 0 || i >= len(e.shards) {
+		return nil
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return append([]int64(nil), e.shards[i].failed...)
 }
 
 // KillShard abruptly closes shard i's interchange — no goodbye to the client
@@ -432,31 +447,12 @@ func (e *Executor) RestoreShard(i int) error {
 	if !s.down.Load() {
 		return nil
 	}
-	addr := e.cfg.Addr
-	if addr == "" {
-		addr = ":0"
-	}
-	ixCfg := e.cfg.Interchange
-	ixCfg.Label = s.label
-	if ixCfg.Seed != 0 {
-		ixCfg.Seed += int64(i)
-	}
-	ix, err := StartInterchange(e.cfg.Transport, addr, ixCfg)
+	c, err := e.dialShard(i, s.label)
 	if err != nil {
 		return fmt.Errorf("htex: restore %s: %w", s.label, err)
 	}
-	dealer, err := mq.DialDealer(e.cfg.Transport, ix.Addr(), clientIdentity)
-	if err != nil {
-		_ = ix.Close()
-		return fmt.Errorf("htex: restore %s: client dial: %w", s.label, err)
-	}
 	old := s.conn.Load()
-	s.conn.Store(&shardConn{
-		ix:      ix,
-		dealer:  dealer,
-		taskEnc: serialize.NewStreamEncoder(),
-		resDec:  serialize.NewStreamDecoder(),
-	})
+	s.conn.Store(c)
 	// The death path closes only the broker; close the stale dealer too so
 	// the old receive loop (which sees the swapped pointer) unblocks.
 	_ = old.dealer.Close()
@@ -467,19 +463,13 @@ func (e *Executor) RestoreShard(i int) error {
 	return nil
 }
 
-// handleNack repairs one shard's task stream after that shard reported it
-// undecodable: reset the encoder (fresh self-describing epoch) and
-// retransmit every task inflight on that shard. The client cannot know which
-// tasks the lost frame carried, so the retransmission is a per-shard
-// superset; tasks that were delivered run at most twice, and the pending map
-// completes each future exactly once whichever copy's result arrives first.
-// Epoch mismatch means the stream was already reset (duplicate NACKs for one
-// epoch collapse to one repair).
-func (e *Executor) handleNack(s *shardLink, c *shardConn, epoch uint32) {
-	if epoch == 0 || c.taskEnc.Epoch() != epoch {
-		return
-	}
-	c.taskEnc.Reset()
+// retransmit repairs one shard's task stream after the shard NACKed it and
+// the link reset to a fresh epoch: every task inflight on that shard is sent
+// again. The client cannot know which tasks the lost frame carried, so the
+// retransmission is a per-shard superset; tasks that were delivered run at
+// most twice, and the pending map completes each future exactly once
+// whichever copy's result arrives first.
+func (e *Executor) retransmit(s *shardHandle, c *shardConn) {
 	e.mu.Lock()
 	msgs := make([]serialize.TaskMsg, 0, len(e.inflight))
 	for _, it := range e.inflight {
@@ -506,27 +496,18 @@ func (e *Executor) handleNack(s *shardLink, c *shardConn, epoch uint32) {
 			wires = append(wires, w)
 		}
 	}
-	_ = e.sendTasksOn(s, c, wires)
+	_ = e.sendTasks(s, c, wires)
 	for i := range msgs {
 		msgs[i].Payload().Release()
 	}
 }
 
-// sendTasks frames one task batch onto one shard's (chaos-instrumented)
-// wire, recording the outcome against that shard's breaker.
-func (e *Executor) sendTasks(s *shardLink, wires []serialize.WireTask) error {
-	return e.sendTasksOn(s, s.conn.Load(), wires)
-}
-
-// sendTasksOn is sendTasks pinned to one connection — the NACK repair path
-// must retransmit on exactly the stream whose epoch it just reset, even if a
-// restore swaps the connection mid-repair.
-func (e *Executor) sendTasksOn(s *shardLink, c *shardConn, wires []serialize.WireTask) error {
-	err := c.taskEnc.EncodeFrame(wires, func(frame []byte) error {
-		return chaos.Frame(chaos.PointClientSend, s.label, frame, func(fr []byte) error {
-			return c.dealer.Send(mq.Message{[]byte(frameTaskSub), fr})
-		})
-	})
+// sendTasks frames one task batch onto connection c of shard s — pinned to
+// one connection because the NACK repair path must retransmit on exactly the
+// stream whose epoch it just reset, even if a restore swaps the connection
+// mid-repair — and records the outcome against the shard's breaker.
+func (e *Executor) sendTasks(s *shardHandle, c *shardConn, wires []serialize.WireTask) error {
+	err := c.link.send(frameTaskSub, wires)
 	s.breaker.Record(err == nil)
 	return err
 }
@@ -566,10 +547,19 @@ func (e *Executor) complete(r serialize.ResultMsg) {
 }
 
 func (e *Executor) fail(id int64, err error) {
+	e.failOnShard(nil, id, err)
+}
+
+// failOnShard is fail on account of shard s (nil: no shard), which records
+// the id in s.failed when it settles a pending task.
+func (e *Executor) failOnShard(s *shardHandle, id int64, err error) {
 	e.mu.Lock()
 	fut, ok := e.pending[id]
 	delete(e.pending, id)
 	e.dropInflightLocked(id)
+	if ok && s != nil {
+		s.failed = append(s.failed, id)
+	}
 	e.mu.Unlock()
 	if !ok {
 		return
@@ -579,8 +569,7 @@ func (e *Executor) fail(id int64, err error) {
 }
 
 // Submit implements executor.Executor as a single-task batch: the
-// registration/framing logic lives once in SubmitBatch, and the
-// interchange treats a one-task TASKB like the legacy TASK frame.
+// registration/framing logic lives once in SubmitBatch.
 func (e *Executor) Submit(msg serialize.TaskMsg) *future.Future {
 	return e.SubmitBatch([]serialize.TaskMsg{msg})[0]
 }
@@ -663,11 +652,7 @@ func (e *Executor) SubmitBatch(msgs []serialize.TaskMsg) []*future.Future {
 	}
 	if len(wires) > 0 {
 		if single {
-			if err := e.sendTasks(e.shards[0], wires); err != nil {
-				for _, w := range wires {
-					e.fail(w.ID, fmt.Errorf("htex: submit batch: %w", err))
-				}
-			}
+			e.sendOrFail(e.shards[0], wires)
 		} else {
 			e.fanOut(wires, wireShard)
 		}
@@ -689,13 +674,18 @@ func (e *Executor) fanOut(wires []serialize.WireTask, wireShard []int) {
 		buckets[si] = append(buckets[si], w)
 	}
 	for si, batch := range buckets {
-		if len(batch) == 0 {
-			continue
+		if len(batch) > 0 {
+			e.sendOrFail(e.shards[si], batch)
 		}
-		if err := e.sendTasks(e.shards[si], batch); err != nil {
-			for _, w := range batch {
-				e.fail(w.ID, fmt.Errorf("htex: submit batch: %w", err))
-			}
+	}
+}
+
+// sendOrFail sends one batch on shard s's stream; when the send fails, every
+// task in it fails on that shard's account.
+func (e *Executor) sendOrFail(s *shardHandle, wires []serialize.WireTask) {
+	if err := e.sendTasks(s, s.conn.Load(), wires); err != nil {
+		for _, w := range wires {
+			e.failOnShard(s, w.ID, fmt.Errorf("htex: submit batch: %w", err))
 		}
 	}
 }
@@ -852,7 +842,7 @@ func (e *Executor) ScaleOut(n int) error {
 // shardForManager places one manager identity onto a live shard: consistent
 // hash with a bounded-load walk, so every shard keeps managers to drain the
 // tasks hashed onto it even at small manager counts (see ShardMap).
-func (e *Executor) shardForManager(id string) *shardLink {
+func (e *Executor) shardForManager(id string) *shardHandle {
 	if len(e.shards) == 1 {
 		return e.shards[0]
 	}

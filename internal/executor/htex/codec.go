@@ -1,19 +1,22 @@
 // Package htex implements Parsl's High Throughput Executor (§4.3.1): an
 // executor client, an interchange brokering between the client and
-// registered managers over the mq fabric, and multi-worker managers deployed
-// one per node by a provider. It supports task batching with prefetch,
-// randomized manager selection for fairness, heartbeat-based fault
-// detection, lost-manager exceptions, a synchronous command channel, and
-// block-based scaling.
+// registered managers over the mq fabric, and the manager — the per-node
+// pilot agent a provider deploys — whose workers execute tasks. It supports
+// task batching with prefetch, randomized manager selection for fairness,
+// heartbeat-based fault detection, lost-manager exceptions, a synchronous
+// command channel, and block-based scaling. The agent is the only
+// implementation of the manager protocol: StartManager runs tasks
+// in-process, and EXEX pools start the same agent with a Runner that
+// forwards each task to an MPI rank (StartAgent).
 //
-// Wire path: task and result batches ride persistent per-connection
-// streaming codecs (serialize.StreamEncoder/StreamDecoder) that amortize
-// gob type-descriptor transmission across a session, and tasks travel as
-// serialize.WireTask envelopes whose argument payload was encoded exactly
-// once at submit time — the interchange queues, prioritizes, cancels, and
-// re-frames tasks without ever decoding the argument bytes. Control frames
-// (registration, ids, heartbeats, commands) stay one-shot: they are small,
-// rare, and must be decodable without session state.
+// Wire path: task and result batches ride one persistent stream link per leg
+// (see link) that amortizes gob type-descriptor transmission across a
+// session, and tasks travel as serialize.WireTask envelopes whose argument
+// payload was encoded exactly once at submit time — the interchange queues,
+// prioritizes, cancels, and re-frames tasks without ever decoding the
+// argument bytes. Control frames (registration, ids, heartbeats, commands)
+// stay one-shot: they are small, rare, and must be decodable without
+// session state.
 package htex
 
 import (
@@ -21,13 +24,13 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/chaos"
 	"repro/internal/mq"
 	"repro/internal/serialize"
 )
 
 // Wire message type tags (first frame part).
 const (
-	frameTask    = "TASK"    // client -> interchange: one one-shot WireTask
 	frameTaskSub = "TASKB"   // client -> interchange: streamed batch of WireTask
 	frameTasks   = "TASKS"   // interchange -> manager: streamed batch of WireTask
 	frameResults = "RESULTS" // manager -> interchange -> client: streamed batch of ResultMsg
@@ -41,119 +44,116 @@ const (
 	frameNack    = "NACK"    // receiver -> sender: your stream (epoch attached) is undecodable; resync
 )
 
-// TaskStreamDecoder decodes the interchange's TASKS frames. It wraps one
-// per-connection stream decoder, exported so sibling executors that speak
-// the manager protocol (EXEX pools) share the exact wire format. Not safe
-// for concurrent use — one per receive loop.
-type TaskStreamDecoder struct {
-	dec *serialize.StreamDecoder
-}
-
-// NewTaskStreamDecoder returns a decoder for one manager-protocol session.
-func NewTaskStreamDecoder() *TaskStreamDecoder {
-	return &TaskStreamDecoder{dec: serialize.NewStreamDecoder()}
-}
-
-// Decode decodes one TASKS frame into its task-envelope batch.
-func (d *TaskStreamDecoder) Decode(frame []byte) ([]serialize.WireTask, error) {
-	var batch []serialize.WireTask
-	if err := d.dec.DecodeFrame(frame, &batch); err != nil {
-		return nil, fmt.Errorf("htex: decode batch: %w", err)
-	}
-	return batch, nil
-}
-
-// ResultStreamEncoder encodes RESULTS frames on a persistent stream toward
-// the interchange; exported for EXEX pools. The frame passed to send is only
-// valid during the call. Safe for concurrent use.
-type ResultStreamEncoder struct {
-	enc *serialize.StreamEncoder
-}
-
-// NewResultStreamEncoder returns an encoder for one manager-protocol session.
-func NewResultStreamEncoder() *ResultStreamEncoder {
-	return &ResultStreamEncoder{enc: serialize.NewStreamEncoder()}
-}
-
-// Encode frames one result batch and hands it to send.
-func (e *ResultStreamEncoder) Encode(batch []serialize.ResultMsg, send func(frame []byte) error) error {
-	if err := e.enc.EncodeFrame(batch, send); err != nil {
-		return fmt.Errorf("htex: encode results: %w", err)
-	}
-	return nil
-}
-
-// Stream-corruption recovery (NACK protocol)
+// Stream links and corruption recovery (NACK protocol)
+//
+// Every stream leg of the HTEX triangle is one link: the client holds one per
+// interchange shard, the interchange one per peer identity (the client and
+// each registered manager), and the manager agent one toward its interchange
+// — an EXEX pool's rank 0 included, since it is an ordinary agent. A link
+// pairs the encoder for the frames this side sends with the decoder for the
+// frames the peer sends, so gob type descriptors cross each leg once per
+// session and the resync contract below is implemented once.
 //
 // A persistent gob stream is stateful: one corrupted, truncated, or dropped
 // frame can make every later frame of the same epoch undecodable, because
 // type descriptors transmitted earlier in the stream are referenced, not
 // repeated. Silently ignoring an undecodable frame therefore risks wedging a
-// whole session. Instead, every stream receiver in the HTEX triangle NACKs
-// the sender with the epoch of the frame it could not decode:
+// whole session. Instead, link.recv NACKs the sender with the epoch of the
+// frame it could not decode, and the sender's link.nacked resets its encoder
+// so the next frame opens a fresh, self-describing epoch. The repair beyond
+// that reset differs per leg and stays with the caller:
 //
-//   - interchange -> client  (client's TASKB stream failed): the client
-//     resets its task encoder — the next frame opens a fresh, self-
-//     describing epoch — and retransmits every in-flight task. Tasks that
-//     were actually delivered execute twice at most; the client's pending
-//     map delivers each result exactly once.
-//   - client -> interchange  (interchange's RESULTS stream failed): the
-//     interchange resets its client encoder. Results inside the lost frame
-//     are gone — no layer retains delivered results — so the affected tasks
-//     recover through the DFK's attempt timeout and retry. That backstop is
-//     deliberate: retaining results for replay would buy little and cost a
+//   - client -> interchange (TASKB): the client retransmits every task in
+//     flight on that shard. Tasks that were actually delivered execute twice
+//     at most; the client's pending map delivers each result exactly once.
+//   - interchange -> client (RESULTS relay): nothing more. Results inside the
+//     lost frame are gone — no layer retains delivered results — so the
+//     affected tasks recover through the DFK's attempt timeout and retry.
+//     That backstop is deliberate: retaining results for replay would cost a
 //     replay buffer on the broker's hot path.
-//   - manager -> interchange (manager's TASKS stream failed): the
-//     interchange resets that manager's task encoder and requeues the
-//     manager's entire outstanding set (it cannot know which tasks the lost
-//     frame carried). Tasks the manager did receive run twice at most;
-//     duplicates reconcile at the client.
-//   - interchange -> manager (manager's RESULTS stream failed): the manager
-//     resets its result encoder; the interchange requeues that manager's
-//     outstanding set when it sends the NACK, so results lost in the bad
-//     frame re-execute elsewhere rather than leaking broker capacity.
+//   - interchange -> manager (TASKS): the interchange requeues the manager's
+//     entire outstanding set (it cannot know which tasks the lost frame
+//     carried). Tasks the manager did receive run twice at most; duplicates
+//     reconcile at the client.
+//   - manager -> interchange (RESULTS): the interchange requeues that
+//     manager's outstanding set when it sends the NACK, so results lost in
+//     the bad frame re-execute rather than leaking broker capacity.
 //
-// Stale NACKs are deduplicated by epoch: a receiver acts only when the
-// NACKed epoch matches its encoder's current epoch, so a burst of failures
-// against one epoch triggers exactly one reset/retransmit cycle.
-
-// nackPayload encodes the undecodable frame's epoch for a NACK frame. A
-// corrupted NACK payload is self-limiting — a wrong epoch matches nothing
-// and the NACK is ignored — so no checksum is needed here.
-func nackPayload(frame []byte) []byte {
-	epoch, _ := serialize.PeekFrameEpoch(frame)
-	// Epoch 0 is never issued by an encoder, so a NACK for a frame whose
-	// header was itself mangled matches nothing and is ignored; the next
-	// failing frame of the stream carries a readable epoch and repairs it.
-	b := make([]byte, 4)
-	binary.BigEndian.PutUint32(b, epoch)
-	return b
+// Stale NACKs are deduplicated by epoch: a link acts only when the NACKed
+// epoch matches its encoder's current epoch, so a burst of failures against
+// one epoch triggers exactly one reset/repair cycle.
+type link struct {
+	enc *serialize.StreamEncoder
+	dec serialize.StreamDecoder // receive goroutine only
+	// point and label address this leg's outbound frames in the chaos plane.
+	point chaos.Point
+	label string
+	// Outbound messages go to dealer or, on the interchange, through router
+	// to peer. Concrete fields rather than a send func let the compiler keep
+	// each frame's message header off the heap.
+	dealer *mq.Dealer
+	router *mq.Router
+	peer   string
 }
 
-// nackEpoch decodes a NACK payload.
-func nackEpoch(b []byte) uint32 {
-	if len(b) != 4 {
-		return 0
+// dealerLink is a link over a dealer connection (client, manager agent).
+func dealerLink(point chaos.Point, label string, d *mq.Dealer) *link {
+	return &link{enc: serialize.NewStreamEncoder(), point: point, label: label, dealer: d}
+}
+
+// routerLink is the interchange's link to one peer identity.
+func routerLink(point chaos.Point, label string, r *mq.Router, peer string) *link {
+	return &link{enc: serialize.NewStreamEncoder(), point: point, label: label, router: r, peer: peer}
+}
+
+func (l *link) out(m mq.Message) error {
+	if l.dealer != nil {
+		return l.dealer.Send(m)
 	}
-	return binary.BigEndian.Uint32(b)
+	return l.router.SendTo(l.peer, m)
 }
 
-// Epoch exposes the encoder's current stream epoch (NACK dedup).
-func (e *ResultStreamEncoder) Epoch() uint32 { return e.enc.Epoch() }
-
-// Reset abandons the current stream; the next frame is self-describing.
-func (e *ResultStreamEncoder) Reset() { e.enc.Reset() }
-
-// NackMessage builds the manager-protocol NACK reply for an undecodable
-// frame. Exported, with NackEpoch, so sibling executors that speak the
-// manager protocol (EXEX pool rank 0) implement the same resync contract.
-func NackMessage(frame []byte) mq.Message {
-	return mq.Message{[]byte(frameNack), nackPayload(frame)}
+// send frames v as the next message of this side's stream and sends it under
+// tag through the leg's chaos point. Frames reach the transport in encode
+// order even with concurrent senders.
+func (l *link) send(tag string, v any) error {
+	return l.enc.EncodeFrame(v, func(frame []byte) error {
+		return chaos.Frame(l.point, l.label, frame, func(fr []byte) error {
+			return l.out(mq.Message{[]byte(tag), fr})
+		})
+	})
 }
 
-// NackEpoch extracts the stream epoch a received NACK payload names
-// (0 = unmatchable; ignore the NACK).
-func NackEpoch(payload []byte) uint32 { return nackEpoch(payload) }
+// recv decodes one frame of the peer's stream into v. An undecodable frame is
+// answered with a NACK naming its epoch and recv reports false; the caller
+// drops the frame (and, on the manager-results leg, runs its repair).
+func (l *link) recv(frame []byte, v any) bool {
+	if err := l.dec.DecodeFrame(frame, v); err != nil {
+		// Epoch 0 is never issued by an encoder, so a NACK for a frame whose
+		// header was itself mangled matches nothing and is ignored; the next
+		// failing frame of the stream carries a readable epoch and repairs it.
+		// A corrupted NACK payload is self-limiting the same way.
+		epoch, _ := serialize.PeekFrameEpoch(frame)
+		_ = l.out(mq.Message{[]byte(frameNack), binary.BigEndian.AppendUint32(nil, epoch)})
+		return false
+	}
+	return true
+}
+
+// nacked handles the peer's NACK of this side's stream: when it names the
+// encoder's current epoch, the encoder resets and nacked reports true so the
+// caller runs its leg's repair. Stale and unmatchable NACKs report false.
+func (l *link) nacked(payload []byte) bool {
+	if len(payload) != 4 {
+		return false
+	}
+	epoch := binary.BigEndian.Uint32(payload)
+	if epoch == 0 || l.enc.Epoch() != epoch {
+		return false
+	}
+	l.enc.Reset()
+	return true
+}
 
 // encodeIDs / decodeIDs carry wire-id lists (CANCEL, LOST) as checksummed
 // one-shot frames: they are tiny and infrequent, so stream state would buy
@@ -174,7 +174,7 @@ func encodeIDs(ids []int64) ([]byte, error) {
 
 func decodeIDs(b []byte) ([]int64, error) {
 	var ids []int64
-	if err := serialize.NewStreamDecoder().DecodeFrame(b, &ids); err != nil {
+	if err := (serialize.OneShotCodec{}).DecodeFrame(b, &ids); err != nil {
 		return nil, fmt.Errorf("htex: decode ids: %w", err)
 	}
 	return ids, nil

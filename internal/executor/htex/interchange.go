@@ -98,9 +98,6 @@ type managerState struct {
 	outstanding map[int64]serialize.WireTask
 	lastSeen    time.Time
 	blacklisted bool
-	// enc is the manager's private TASKS stream: descriptors cross once per
-	// manager session, and every batch after the first is values only.
-	enc *serialize.StreamEncoder
 	// digests is the manager's last heartbeat digest-set summary: the warm
 	// input digests it advertises. Replaced wholesale on every advert (the
 	// manager's view is authoritative); nil until the first one arrives.
@@ -119,12 +116,6 @@ type Interchange struct {
 	router *mq.Router
 	rng    *rand.Rand
 
-	// clientEnc streams RESULTS to the client. Result batches arriving from
-	// managers are decoded (the interchange needs the ids for capacity
-	// bookkeeping anyway) and re-framed here, so the client holds exactly
-	// one result stream regardless of how many managers feed it.
-	clientEnc *serialize.StreamEncoder
-
 	mu       sync.Mutex
 	managers map[string]*managerState
 	// queue holds tasks waiting for manager capacity. It is tenant-fair:
@@ -139,11 +130,15 @@ type Interchange struct {
 	// stream; a change marks a new client session (see handle).
 	clientEpoch uint32
 	rrNext      int // round-robin cursor (SelectRoundRobin)
-	// decs holds one stream decoder per connected peer (client TASKB,
-	// manager RESULTS), keyed by identity. Decoding itself happens only on
-	// the mainLoop goroutine; the map is locked because the heartbeat
-	// goroutine prunes entries for lost managers.
-	decs map[string]*serialize.StreamDecoder
+	// links holds one stream link per connected peer, keyed by identity: a
+	// manager's carries its private TASKS stream out and RESULTS stream in;
+	// the client's carries TASKB in and the RESULTS relay out. Result batches
+	// from managers are decoded (the interchange needs the ids for capacity
+	// bookkeeping anyway) and re-framed on the client's link, so the client
+	// holds exactly one result stream however many managers feed it.
+	// Decoding happens only on the mainLoop goroutine; the map is locked
+	// because the heartbeat goroutine prunes entries for lost managers.
+	links map[string]*link
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -166,10 +161,9 @@ func StartInterchange(tr simnet.Transport, addr string, cfg InterchangeConfig) (
 		queue: fair.NewQueue(func(a, b serialize.WireTask) bool {
 			return a.Priority > b.Priority
 		}),
-		clientEnc: serialize.NewStreamEncoder(),
-		managers:  make(map[string]*managerState),
-		decs:      make(map[string]*serialize.StreamDecoder),
-		done:      make(chan struct{}),
+		managers: make(map[string]*managerState),
+		links:    make(map[string]*link),
+		done:     make(chan struct{}),
 	}
 	ix.wg.Add(2)
 	go ix.mainLoop()
@@ -217,24 +211,12 @@ func (ix *Interchange) handle(del mq.Delivery) {
 		return
 	}
 	switch string(del.Msg[0]) {
-	case frameTask:
-		// Legacy single-task path: a one-shot envelope, no stream state
-		// required — the self-describing fallback framing.
-		ix.setClient(del.From)
-		if len(del.Msg) < 2 {
-			return
-		}
-		task, err := serialize.DecodeWire(del.Msg[1])
-		if err != nil {
-			return
-		}
-		ix.enqueue(task)
-		ix.dispatch()
 	case frameTaskSub:
 		ix.setClient(del.From)
 		if len(del.Msg) < 2 {
 			return
 		}
+		l := ix.linkFor(del.From, chaos.PointIxResults)
 		// A new epoch on the client's task stream is the in-band signal of
 		// a new client session (epochs are globally unique per encoder
 		// incarnation): restart the RESULTS stream so the newcomer's
@@ -248,14 +230,13 @@ func (ix *Interchange) handle(del mq.Delivery) {
 			ix.clientEpoch = epoch
 			ix.mu.Unlock()
 			if newSession {
-				ix.clientEnc.Reset()
+				l.enc.Reset()
 			}
 		}
 		var batch []serialize.WireTask
-		if err := ix.decoderFor(del.From).DecodeFrame(del.Msg[1], &batch); err != nil {
-			// Undecodable client task stream: NACK so the client resets to a
-			// fresh epoch and retransmits its in-flight tasks (codec.go).
-			_ = ix.router.SendTo(del.From, mq.Message{[]byte(frameNack), nackPayload(del.Msg[1])})
+		// An undecodable frame is NACKed: the client resets to a fresh epoch
+		// and retransmits its in-flight tasks (codec.go).
+		if !l.recv(del.Msg[1], &batch) {
 			return
 		}
 		ix.enqueue(batch...)
@@ -274,8 +255,8 @@ func (ix *Interchange) handle(del mq.Delivery) {
 			capacity:    capacity,
 			outstanding: make(map[int64]serialize.WireTask),
 			lastSeen:    time.Now(),
-			enc:         serialize.NewStreamEncoder(),
 		}
+		ix.links[del.From] = routerLink(chaos.PointIxTasks, ix.cfg.Label, ix.router, del.From)
 		ix.mu.Unlock()
 		ix.dispatch()
 	case frameResults:
@@ -283,14 +264,14 @@ func (ix *Interchange) handle(del mq.Delivery) {
 			return
 		}
 		var results []serialize.ResultMsg
-		if err := ix.decoderFor(del.From).DecodeFrame(del.Msg[1], &results); err != nil {
-			// Undecodable manager result stream: NACK so the manager resets
-			// its encoder, and requeue everything this manager holds — the
-			// lost frame's results cannot be recovered, so their tasks must
-			// re-execute, and the broker must not leak their capacity slots.
-			// Tasks still running on the manager finish twice at most; the
-			// client's pending map reconciles duplicates (codec.go).
-			_ = ix.router.SendTo(del.From, mq.Message{[]byte(frameNack), nackPayload(del.Msg[1])})
+		if !ix.linkFor(del.From, chaos.PointIxTasks).recv(del.Msg[1], &results) {
+			// Undecodable manager result stream: recv NACKed it so the
+			// manager resets its encoder; requeue everything this manager
+			// holds — the lost frame's results cannot be recovered, so their
+			// tasks must re-execute, and the broker must not leak their
+			// capacity slots. Tasks still running on the manager finish twice
+			// at most; the client's pending map reconciles duplicates
+			// (codec.go).
 			ix.requeueOutstanding(del.From)
 			return
 		}
@@ -304,11 +285,7 @@ func (ix *Interchange) handle(del mq.Delivery) {
 		client := ix.client
 		ix.mu.Unlock()
 		if client != "" {
-			_ = ix.clientEnc.EncodeFrame(results, func(frame []byte) error {
-				return chaos.Frame(chaos.PointIxResults, ix.cfg.Label, frame, func(fr []byte) error {
-					return ix.router.SendTo(client, mq.Message{[]byte(frameResults), fr})
-				})
-			})
+			_ = ix.linkFor(client, chaos.PointIxResults).send(frameResults, results)
 		}
 		ix.dispatch()
 	case frameHB:
@@ -334,7 +311,7 @@ func (ix *Interchange) handle(del mq.Delivery) {
 				ix.enqueue(t)
 			}
 			delete(ix.managers, del.From)
-			delete(ix.decs, del.From)
+			delete(ix.links, del.From)
 		}
 		ix.mu.Unlock()
 		// Hang up on the peer so its Drain can observe the ack.
@@ -356,38 +333,23 @@ func (ix *Interchange) handle(del mq.Delivery) {
 		if len(del.Msg) < 2 {
 			return
 		}
-		ix.handleNack(del.From, nackEpoch(del.Msg[1]))
-	}
-}
-
-// handleNack repairs one of the interchange's outbound streams after a peer
-// reported it undecodable. Epoch matching dedups stale NACKs (codec.go).
-func (ix *Interchange) handleNack(from string, epoch uint32) {
-	if epoch == 0 {
-		return
-	}
-	ix.mu.Lock()
-	m, isMgr := ix.managers[from]
-	isClient := from == ix.client
-	ix.mu.Unlock()
-	switch {
-	case isMgr && m.enc.Epoch() == epoch:
-		// The manager cannot decode its TASKS stream: resync the encoder and
-		// requeue everything it was holding — the lost frame's tasks never
-		// arrived, and the interchange cannot tell which those were.
-		m.enc.Reset()
-		ix.requeueOutstanding(from)
-	case isClient && ix.clientEnc.Epoch() == epoch:
-		// The client cannot decode the RESULTS stream: resync. Results in
-		// the lost frame are gone; the DFK's attempt timeout re-executes
-		// their tasks (codec.go).
-		ix.clientEnc.Reset()
+		ix.mu.Lock()
+		l := ix.links[del.From]
+		ix.mu.Unlock()
+		// A manager that cannot decode its TASKS stream lost tasks the
+		// interchange cannot name, so everything it holds is requeued. For
+		// the client the resync is the whole repair: results in the lost
+		// frame re-execute via the DFK's attempt timeout (codec.go).
+		if l != nil && l.nacked(del.Msg[1]) {
+			ix.requeueOutstanding(del.From)
+		}
 	}
 }
 
 // requeueOutstanding moves every task a manager holds back into the
 // interchange queue (stream-corruption repair; the clean-departure BYE path
-// does its own inline requeue under the lock).
+// does its own inline requeue under the lock). No-op for a peer that is not
+// a registered manager.
 func (ix *Interchange) requeueOutstanding(id string) {
 	ix.mu.Lock()
 	m, ok := ix.managers[id]
@@ -415,18 +377,18 @@ func (ix *Interchange) setClient(from string) {
 	ix.mu.Unlock()
 }
 
-// decoderFor returns the stream decoder for one peer, creating it on first
-// contact. Decoding is serialized on the mainLoop goroutine; the lock only
-// orders map access against lost-manager pruning.
-func (ix *Interchange) decoderFor(id string) *serialize.StreamDecoder {
+// linkFor returns the stream link for one peer, creating it on first contact
+// with point naming its outbound leg. Decoding is serialized on the mainLoop
+// goroutine; the lock only orders map access against lost-manager pruning.
+func (ix *Interchange) linkFor(id string, point chaos.Point) *link {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	d, ok := ix.decs[id]
+	l, ok := ix.links[id]
 	if !ok {
-		d = serialize.NewStreamDecoder()
-		ix.decs[id] = d
+		l = routerLink(point, ix.cfg.Label, ix.router, id)
+		ix.links[id] = l
 	}
-	return d
+	return l
 }
 
 // cancel drops the named tasks: entries still in the interchange queue are
@@ -578,7 +540,7 @@ func (ix *Interchange) dispatch() {
 		// still never decodes arguments.
 		type send struct {
 			id    string
-			enc   *serialize.StreamEncoder
+			l     *link
 			batch []serialize.WireTask
 		}
 		var sends []send
@@ -612,26 +574,21 @@ func (ix *Interchange) dispatch() {
 			}
 			batch = kept
 			for h, ts := range reroutes {
-				sends = append(sends, send{id: h.id, enc: h.enc, batch: ts})
+				sends = append(sends, send{id: h.id, l: ix.links[h.id], batch: ts})
 			}
 		}
 		for _, t := range batch {
 			m.outstanding[t.ID] = t
 		}
 		if len(batch) > 0 {
-			sends = append(sends, send{id: m.id, enc: m.enc, batch: batch})
+			sends = append(sends, send{id: m.id, l: ix.links[m.id], batch: batch})
 		}
 		ix.mu.Unlock()
 
 		// Re-frame the envelopes on each target manager's stream; the
 		// argument payloads inside pass through as opaque bytes.
 		for _, s := range sends {
-			err := s.enc.EncodeFrame(s.batch, func(frame []byte) error {
-				return chaos.Frame(chaos.PointIxTasks, ix.cfg.Label, frame, func(fr []byte) error {
-					return ix.router.SendTo(s.id, mq.Message{[]byte(frameTasks), fr})
-				})
-			})
-			if err != nil {
+			if err := s.l.send(frameTasks, s.batch); err != nil {
 				// Send failed: the manager is gone; requeue via loss path.
 				ix.managerLost(s.id, "send failed")
 			}
@@ -674,7 +631,7 @@ func (ix *Interchange) managerLost(id, reason string) {
 		return
 	}
 	delete(ix.managers, id)
-	delete(ix.decs, id) // a reconnecting identity starts a fresh stream
+	delete(ix.links, id) // a reconnecting identity starts a fresh stream
 	var lostIDs []int64
 	for tid := range m.outstanding {
 		lostIDs = append(lostIDs, tid)

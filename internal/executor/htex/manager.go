@@ -74,20 +74,28 @@ func (c *ManagerConfig) normalize() {
 	}
 }
 
+// Runner executes one task on behalf of agent worker `worker` (0-based) and
+// returns its result. StartManager's runner decodes the arguments and runs
+// the kernel in-process; an EXEX pool's runner hands the envelope to the MPI
+// rank that worker owns. An error means the execution substrate itself is
+// gone (an aborted MPI communicator): the agent stops, and the interchange
+// reports the tasks it held lost.
+type Runner func(worker int, w serialize.WireTask) (serialize.ResultMsg, error)
+
 // Manager is the per-node pilot agent: it registers capacity with the
-// interchange, feeds a pool of worker goroutines, and streams result batches
-// back. Tasks arrive as wire envelopes; the argument payload — encoded once
-// at submit time on the client — is decoded here, by the worker goroutine
-// about to execute the task, and nowhere else.
+// interchange, feeds a pool of worker goroutines that execute through its
+// Runner, streams result batches back, and polices the interchange's
+// heartbeat. Tasks arrive as wire envelopes; the argument payload — encoded
+// once at submit time on the client — is decoded only by whatever finally
+// executes the task.
 type Manager struct {
 	id     string
 	cfg    ManagerConfig
-	reg    *serialize.Registry
+	run    Runner
 	dealer *mq.Dealer
-	// taskDec consumes the interchange's per-manager TASKS stream; resEnc
-	// produces this manager's RESULTS stream.
-	taskDec *TaskStreamDecoder
-	resEnc  *ResultStreamEncoder
+	// link consumes the interchange's per-manager TASKS stream and produces
+	// this manager's RESULTS stream.
+	link *link
 
 	tasks   chan serialize.WireTask
 	results chan serialize.ResultMsg
@@ -117,9 +125,23 @@ type Manager struct {
 // At 16 hex chars + separator per digest the advert stays under ~9 KiB.
 const maxAdvertisedDigests = 512
 
-// StartManager connects a manager to the interchange at addr and begins
-// executing tasks from reg.
+// StartManager connects a manager to the interchange at addr whose workers
+// execute tasks from reg in-process.
 func StartManager(tr simnet.Transport, addr, id string, reg *serialize.Registry, cfg ManagerConfig) (*Manager, error) {
+	// Worker ids are built once, not per task; normalize runs one worker
+	// when Workers <= 0.
+	names := make([]string, max(cfg.Workers, 1))
+	for i := range names {
+		names[i] = fmt.Sprintf("%s/w%d", id, i)
+	}
+	return StartAgent(tr, addr, id, cfg, func(worker int, w serialize.WireTask) (serialize.ResultMsg, error) {
+		return executor.RunWire(reg, w, names[worker]), nil
+	})
+}
+
+// StartAgent connects a manager to the interchange at addr whose cfg.Workers
+// workers execute tasks through run.
+func StartAgent(tr simnet.Transport, addr, id string, cfg ManagerConfig, run Runner) (*Manager, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -131,10 +153,9 @@ func StartManager(tr simnet.Transport, addr, id string, reg *serialize.Registry,
 	m := &Manager{
 		id:       id,
 		cfg:      cfg,
-		reg:      reg,
+		run:      run,
 		dealer:   dealer,
-		taskDec:  NewTaskStreamDecoder(),
-		resEnc:   NewResultStreamEncoder(),
+		link:     dealerLink(chaos.PointMgrResults, id, dealer),
 		tasks:    make(chan serialize.WireTask, cfg.Workers+cfg.Prefetch),
 		results:  make(chan serialize.ResultMsg, cfg.Workers+cfg.Prefetch),
 		done:     make(chan struct{}),
@@ -150,7 +171,7 @@ func StartManager(tr simnet.Transport, addr, id string, reg *serialize.Registry,
 
 	for i := 0; i < cfg.Workers; i++ {
 		m.wg.Add(1)
-		go m.worker(fmt.Sprintf("%s/w%d", id, i))
+		go m.worker(i)
 	}
 	m.wg.Add(3)
 	go m.recvLoop()
@@ -169,6 +190,9 @@ func (m *Manager) Executed() int64 {
 	return m.executed
 }
 
+// Done is closed once the manager stops, whatever stopped it.
+func (m *Manager) Done() <-chan struct{} { return m.done }
+
 func (m *Manager) recvLoop() {
 	defer m.wg.Done()
 	for {
@@ -182,16 +206,10 @@ func (m *Manager) recvLoop() {
 		}
 		switch string(msg[0]) {
 		case frameTasks:
-			if len(msg) < 2 {
-				continue
-			}
-			batch, err := m.taskDec.Decode(msg[1])
-			if err != nil {
-				// Undecodable task stream: NACK so the interchange resyncs
-				// this manager's encoder and requeues what it was holding
-				// (codec.go). Without this, the lost frame's tasks would sit
-				// in the broker's outstanding set forever, leaking capacity.
-				_ = m.dealer.Send(mq.Message{[]byte(frameNack), nackPayload(msg[1])})
+			var batch []serialize.WireTask
+			// An undecodable frame is NACKed so the interchange resyncs this
+			// manager's stream and requeues what it was holding (codec.go).
+			if len(msg) < 2 || !m.link.recv(msg[1], &batch) {
 				continue
 			}
 			for _, t := range batch {
@@ -219,14 +237,11 @@ func (m *Manager) recvLoop() {
 			}
 			m.mu.Unlock()
 		case frameNack:
-			// The interchange cannot decode this manager's RESULTS stream:
-			// resync to a fresh self-describing epoch. The interchange
-			// requeued our outstanding set when it sent the NACK, so the
-			// lost frame's results re-execute elsewhere (codec.go).
+			// The interchange cannot decode this manager's RESULTS stream. It
+			// requeued our outstanding set when it sent the NACK, so resyncing
+			// the stream is the whole repair (codec.go).
 			if len(msg) >= 2 {
-				if epoch := nackEpoch(msg[1]); epoch != 0 && m.resEnc.Epoch() == epoch {
-					m.resEnc.Reset()
-				}
+				m.link.nacked(msg[1])
 			}
 		}
 	}
@@ -243,7 +258,7 @@ func (m *Manager) dropCanceled(id int64) bool {
 	return false
 }
 
-func (m *Manager) worker(workerID string) {
+func (m *Manager) worker(i int) {
 	defer m.wg.Done()
 	for {
 		select {
@@ -262,28 +277,11 @@ func (m *Manager) worker(workerID string) {
 			if m.dropCanceled(w.ID) {
 				continue // struck by the interchange; never starts
 			}
-			// First and only decode of the argument payload, on the
-			// goroutine that executes it — the decode is the worker's
-			// private deep copy, so no further isolation copy is needed.
-			// The wire frame's bytes go straight to the decoder
-			// (DecodeArgsBytes); no intermediate Payload wrapper, no copy
-			// of the buffer, and the stack-built TaskMsg carries only the
-			// decoded values into the kernel.
-			args, kwargs, err := serialize.DecodeArgsBytes(w.P)
+			res, err := m.run(i, w)
 			if err != nil {
-				select {
-				case m.results <- serialize.ResultMsg{ID: w.ID, WorkerID: workerID,
-					Err: fmt.Sprintf("decode task %d: %v", w.ID, err)}:
-				case <-m.done:
-					return
-				}
-				continue
+				m.Stop()
+				return
 			}
-			res := executor.RunKernel(m.reg, serialize.TaskMsg{
-				ID: w.ID, App: w.App, Priority: w.Priority,
-				Tenant: w.Tenant, Weight: w.Weight,
-				Args: args, Kwargs: kwargs,
-			}, workerID)
 			m.mu.Lock()
 			m.executed++
 			if res.Err == "" {
@@ -314,16 +312,11 @@ func (m *Manager) resultLoop() {
 		if len(batch) == 0 {
 			return
 		}
-		_ = m.resEnc.Encode(batch, func(frame []byte) error {
-			return chaos.Frame(chaos.PointMgrResults, m.id, frame, func(fr []byte) error {
-				return m.dealer.Send(mq.Message{[]byte(frameResults), fr})
-			})
-		})
-		// The gob encode above copied the batch into the encoder's frame
+		_ = m.link.send(frameResults, batch)
+		// The gob encode above copied the batch into the link's frame
 		// buffer synchronously (and the stream encoder reuses that buffer
-		// across frames — see serialize.StreamEncoder), so the slice can be
-		// reused in place: result batching allocates once per manager, not
-		// once per flush.
+		// across frames), so the slice can be reused in place: result
+		// batching allocates once per manager, not once per flush.
 		batch = batch[:0]
 	}
 	for {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/future"
 	"repro/internal/mq"
 	"repro/internal/provider"
@@ -82,20 +83,23 @@ func TestRoundRobinCyclesManagersEvenly(t *testing.T) {
 	}
 	waitCond(t, "3 managers", func() bool { return ix.ManagerCount() == 3 })
 
-	// A bare client dealer submits tasks straight to the interchange.
+	// A bare client dealer submits one-task TASKB frames straight to the
+	// interchange over a stream link, as the executor client does.
 	client, err := mq.DialDealer(tr, ix.Addr(), clientIdentity)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
+	l := dealerLink(chaos.PointClientSend, "sel", client)
 
 	const n = 12
 	for i := 0; i < n; i++ {
-		payload, err := serialize.EncodeTask(serialize.TaskMsg{ID: int64(i), App: "who"})
+		msg := serialize.TaskMsg{ID: int64(i), App: "who"}
+		w, err := msg.Wire()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := client.Send(mq.Message{[]byte(frameTask), payload}); err != nil {
+		if err := l.send(frameTaskSub, []serialize.WireTask{w}); err != nil {
 			t.Fatal(err)
 		}
 	}

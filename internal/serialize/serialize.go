@@ -542,8 +542,8 @@ func (m *TaskMsg) Wire() (WireTask, error) {
 }
 
 // Task decodes the argument payload and rebuilds the executable message.
-// The payload stays attached, so a hop that re-serializes (EXEX rank 0
-// forwarding over MPI) reuses the bytes.
+// The payload stays attached, so a hop that re-serializes the task reuses
+// the bytes.
 func (w WireTask) Task() (TaskMsg, error) {
 	p := payloadFromBytes(w.P)
 	args, kwargs, err := p.DecodeArgs()

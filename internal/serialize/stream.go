@@ -166,6 +166,13 @@ func (OneShotCodec) EncodeFrame(v any, send func(frame []byte) error) error {
 	return send(frame)
 }
 
+// DecodeFrame decodes one standalone frame into v — the receiving half of
+// EncodeFrame, for receivers that keep no stream state.
+func (OneShotCodec) DecodeFrame(frame []byte, v any) error {
+	var d StreamDecoder
+	return d.DecodeFrame(frame, v)
+}
+
 // frameFeed is the io.Reader a StreamDecoder's persistent gob.Decoder pulls
 // from: exactly the current frame's body, then EOF. Implementing
 // io.ByteReader keeps gob from wrapping the feed in a bufio.Reader, so the

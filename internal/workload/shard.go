@@ -21,9 +21,9 @@ import (
 //
 //   - RunShardFailover kills one interchange shard of a sharded HTEX pool
 //     mid-workload (through the chaos plane, addressed by shard label) and
-//     asserts the failover contract: only the dead shard's outstanding set
-//     is re-executed, the survivors keep draining untouched, and every task
-//     still completes exactly once.
+//     asserts the failover contract: exactly the tasks the client failed on
+//     the dead shard's account are re-executed, the survivors keep draining
+//     untouched, and every task still completes exactly once.
 //   - RunShardScaling drives the same total manager capacity through S
 //     shards and reports client-observed throughput, so CI can hold the
 //     horizontal-scaling bar (N shards beat one broker once the single
@@ -36,7 +36,8 @@ type ShardFailoverConfig struct {
 	// Shards is the interchange shard count (default 4, min 2 — killing the
 	// only shard is a different scenario).
 	Shards int
-	// Victim is the shard index the chaos plan kills (default 1).
+	// Victim is the shard index the chaos plan kills. The zero value selects
+	// shard 0; an index outside [0, Shards) falls back to shard 1.
 	Victim int
 	// Tasks is the workload size (default 160).
 	Tasks int
@@ -95,7 +96,7 @@ type ShardFailoverResult struct {
 	Done          int
 	Retried       int   // tasks that took more than one launch
 	ExtraLaunches int   // total launches beyond one per task
-	VictimHeld    int   // victim shard's inflight count at the kill snapshot
+	VictimHeld    int   // tasks with an attempt the client failed on the victim's account
 	SurvivorMgrs  []int // per-survivor-shard manager counts after the kill
 	ShardsAlive   int
 	ShardsTotal   int
@@ -107,6 +108,29 @@ type ShardFailoverResult struct {
 }
 
 func shardValue(i int) int { return i*7 + 1 }
+
+// attemptLog wraps the HTEX client to map every wire id the DFK submits to
+// its task index (args[0]). A retry can land on the victim before the
+// client has noticed the death and fail there too, under a fresh wire id,
+// so the oracle needs this map to name the task behind each failed attempt.
+type attemptLog struct {
+	*htex.Executor
+	mu   sync.Mutex
+	task map[int64]int // wire id -> task index
+}
+
+func (a *attemptLog) Submit(m serialize.TaskMsg) *future.Future {
+	return a.SubmitBatch([]serialize.TaskMsg{m})[0]
+}
+
+func (a *attemptLog) SubmitBatch(msgs []serialize.TaskMsg) []*future.Future {
+	a.mu.Lock()
+	for _, m := range msgs {
+		a.task[m.ID] = m.Args[0].(int)
+	}
+	a.mu.Unlock()
+	return a.Executor.SubmitBatch(msgs)
+}
 
 // RunShardFailover executes the kill-one-shard scenario. The chaos plan is
 // armed only once the victim shard demonstrably holds outstanding work, so
@@ -140,10 +164,11 @@ func RunShardFailover(cfg ShardFailoverConfig) (ShardFailoverResult, error) {
 			HeartbeatThreshold: 300 * time.Millisecond,
 		},
 	})
+	attempts := &attemptLog{Executor: hx, task: make(map[int64]int)}
 	store := monitor.NewStore()
 	d, err := dfk.New(dfk.Config{
 		Registry:        reg,
-		Executors:       []executor.Executor{hx},
+		Executors:       []executor.Executor{attempts},
 		Retries:         cfg.Retries,
 		TaskTimeout:     cfg.TaskTimeout,
 		Seed:            cfg.Seed,
@@ -202,16 +227,13 @@ func RunShardFailover(cfg ShardFailoverConfig) (ShardFailoverResult, error) {
 
 	// Arm the kill only once the victim holds outstanding work: the next
 	// frame its interchange handles (a heartbeat at the latest) detonates.
-	// The inflight snapshot taken here is a superset of what the victim
-	// holds at the kill instant (tasks leave a shard only by completing),
-	// so it upper-bounds legitimate re-execution.
+	// This snapshot only times the kill; it bounds nothing, because the
+	// burst may still be fanning tasks onto the victim when the kill lands.
 	killDeadline := time.Now().Add(10 * time.Second)
 	for hx.InflightByShard()[cfg.Victim] == 0 && time.Now().Before(killDeadline) {
 		time.Sleep(time.Millisecond)
 	}
-	pre := hx.InflightByShard()
-	res.VictimHeld = pre[cfg.Victim]
-	if res.VictimHeld == 0 {
+	if pre := hx.InflightByShard(); pre[cfg.Victim] == 0 {
 		violate("victim shard %d never held inflight tasks: %v", cfg.Victim, pre)
 	}
 	restore := chaos.Enable(inj)
@@ -287,16 +309,11 @@ func RunShardFailover(cfg ShardFailoverConfig) (ShardFailoverResult, error) {
 		}
 	}
 
-	// Exactly-once + bounded-requeue invariants from the monitoring stream:
-	// one terminal transition per task, and total re-execution bounded by
-	// what the victim held when the kill armed. Tasks on the survivors never
-	// relaunch, so extra launches can only come from the victim's set.
-	launches := make(map[int64]int)
+	// Exactly-once invariant from the monitoring stream: one terminal
+	// transition per task.
 	terminals := make(map[int64]int)
 	for _, e := range store.Events(monitor.KindTaskState) {
 		switch e.To {
-		case "launched":
-			launches[e.TaskID]++
 		case "done", "failed", "memoized":
 			terminals[e.TaskID]++
 		}
@@ -306,18 +323,41 @@ func RunShardFailover(cfg ShardFailoverConfig) (ShardFailoverResult, error) {
 			violate("task %d reached a terminal state %d times", id, n)
 		}
 	}
-	for _, n := range launches {
+	// Exact-requeue invariant: the set of re-executed tasks equals the set of
+	// tasks with an attempt the client failed on the victim's account, and
+	// the survivors fail nothing.
+	attempts.mu.Lock()
+	launches := make(map[int]int)
+	for _, i := range attempts.task {
+		launches[i]++
+	}
+	failed := make(map[int]bool)
+	for _, id := range hx.FailedOnShard(cfg.Victim) {
+		failed[attempts.task[id]] = true
+	}
+	attempts.mu.Unlock()
+	res.VictimHeld = len(failed)
+	for i, n := range launches {
 		if n > 1 {
 			res.Retried++
 			res.ExtraLaunches += n - 1
+			if !failed[i] {
+				violate("task %d re-executed but the client never failed it on the victim's account", i)
+			}
+		}
+	}
+	for i := range failed {
+		if launches[i] < 2 {
+			violate("task %d failed on the victim but was not re-executed", i)
 		}
 	}
 	if res.Retried == 0 {
-		violate("no task re-executed though the victim held %d — the kill missed the workload", res.VictimHeld)
+		violate("no task re-executed — the kill missed the workload")
 	}
-	if res.Retried > res.VictimHeld {
-		violate("%d tasks re-executed but the victim held only %d — survivors' tasks were requeued too",
-			res.Retried, res.VictimHeld)
+	for i := 0; i < hx.ShardCount(); i++ {
+		if n := len(hx.FailedOnShard(i)); i != cfg.Victim && n != 0 {
+			violate("survivor shard %d failed %d tasks — the kill cascaded", i, n)
+		}
 	}
 
 	sum := d.Summary()
