@@ -11,6 +11,7 @@ import (
 	"repro/internal/executor"
 	"repro/internal/executor/threadpool"
 	"repro/internal/future"
+	"repro/internal/monitor"
 	"repro/internal/serialize"
 	"repro/internal/task"
 )
@@ -303,5 +304,114 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached within 5s")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTaskStateEventsTraceLegalPaths: in a run that mixes retries, exhausted
+// budgets, cancellation of a running and of a dependency-blocked task,
+// dependency failures and memo hits, every task's KindTaskState events form a
+// legal walk through the task state machine: each From is the previous To
+// ("" before the first), no event repeats a state, replaying the To sequence
+// on a fresh record accepts every step, and the walk ends terminal.
+// "requeued" marks a re-dispatch without a state change and is skipped.
+func TestTaskStateEventsTraceLegalPaths(t *testing.T) {
+	store := monitor.NewStore()
+	d := newDFK(t, func(c *Config) {
+		c.Retries = 1
+		c.Monitor = store
+	})
+	var tries sync.Map
+	flaky, err := d.PythonApp("flaky", func(args []any, _ map[string]any) (any, error) {
+		n, _ := tries.LoadOrStore(args[0], new(atomic.Int64))
+		if n.(*atomic.Int64).Add(1) == 1 {
+			return nil, errors.New("first attempt fails")
+		}
+		return args[0], nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken, err := d.PythonApp("broken", func([]any, map[string]any) (any, error) {
+		return nil, errors.New("always fails")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, release := make(chan struct{}, 2), make(chan struct{})
+	block, err := d.PythonApp("block", func([]any, map[string]any) (any, error) {
+		started <- struct{}{}
+		<-release
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	echo, err := d.PythonApp("echo", func(args []any, _ map[string]any) (any, error) {
+		return args[0], nil
+	}, WithMemoize(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	runCtx, cancelRun := context.WithCancel(context.Background())
+	running := block.Submit(runCtx, nil)
+	blocker := block.Call()
+	depCtx, cancelDep := context.WithCancel(context.Background())
+	dependent := echo.Submit(depCtx, []any{blocker})
+	<-started
+	<-started
+	cancelRun()
+	cancelDep()
+	for _, f := range []*future.Future{running, dependent} {
+		if _, err := f.Result(); !errors.Is(err, ErrCanceled) {
+			t.Fatalf("canceled task error = %v", err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		flaky.Call(i)
+		broken.Call(i)
+	}
+	echo.Call(broken.Call(100))
+	if _, err := echo.Call(7).Result(); err != nil {
+		t.Fatal(err)
+	}
+	echo.Call(7) // served from the memo table
+	close(release)
+	d.WaitAll()
+
+	names := make(map[string]task.State)
+	for s := task.Unsched; s <= task.Memoized; s++ {
+		names[s.String()] = s
+	}
+	byTask := make(map[int64][]monitor.Event)
+	for _, e := range store.Events(monitor.KindTaskState) {
+		if e.To != "requeued" {
+			byTask[e.TaskID] = append(byTask[e.TaskID], e)
+		}
+	}
+	steps := make(map[string]int)
+	for id, evs := range byTask {
+		rec := task.NewRecord(id, "replay", nil, nil)
+		prev := ""
+		for _, e := range evs {
+			to, ok := names[e.To]
+			if e.From != prev || e.From == e.To || !ok {
+				t.Fatalf("task %d: event %q->%q after %q; history %+v", id, e.From, e.To, prev, evs)
+			}
+			if _, err := rec.Advance(to); err != nil {
+				t.Fatalf("task %d: illegal step: %v; history %+v", id, err, evs)
+			}
+			steps[e.From+"->"+e.To]++
+			prev = e.To
+		}
+		if !rec.State().Terminal() {
+			t.Fatalf("task %d ends in %s; history %+v", id, prev, evs)
+		}
+	}
+	for _, want := range []string{"launched->retrying", "retrying->launched", "launched->done",
+		"launched->failed", "pending->failed", "pending->memoized"} {
+		if steps[want] == 0 {
+			t.Fatalf("run never exercised %s: %v", want, steps)
+		}
 	}
 }

@@ -110,13 +110,14 @@ type Config struct {
 	// WALCompactEvery folds terminal history into a snapshot after this many
 	// terminal records (0 = 4096; negative disables auto-compaction).
 	WALCompactEvery int
-	// Health enables the self-healing retry plane (internal/health): typed
+	// Health configures the self-healing retry plane (internal/health): typed
 	// failure classification with per-class retry policies, deterministic
 	// jittered backoff between attempts, per-executor circuit breakers, and
-	// poison-task quarantine. Nil (the default) disables the plane entirely —
-	// retries re-enter dispatch inline and the hot path is byte-identical to
-	// the pre-health behavior. The zero &health.Options{} enables it with
-	// defaults.
+	// poison-task quarantine. Every failed attempt goes through the plane.
+	// Nil (the default) selects the flat plane: every failure class charges
+	// the retry budget and re-dispatches at once to any executor, with no
+	// breakers, no quarantine, and no health events — plain §4.1 retries.
+	// The zero &health.Options{} enables the full plane with defaults.
 	Health *health.Options
 	// RetainRecords keeps terminal task records resident in the graph
 	// instead of pruning and recycling them, restoring the pre-reclamation
@@ -186,7 +187,8 @@ type DFK struct {
 	queue           *fair.MPSC[*pendingLaunch]
 	lanes           map[string]*lane
 	batchMax        int
-	// hp is the self-healing retry plane; nil unless Config.Health is set.
+	// hp is the retry plane every failed attempt goes through; the flat
+	// plane when Config.Health is nil.
 	hp *healthPlane
 	// adm bounds live tasks per tenant at the submission boundary; nil when
 	// no quota is configured (the default, behavior-identical path).
@@ -318,9 +320,7 @@ func New(cfg Config) (*DFK, error) {
 		d.laneWG.Add(1)
 		go d.laneRunner(l)
 	}
-	if cfg.Health != nil {
-		d.hp = newHealthPlane(d, cfg.Health)
-	}
+	d.hp = newHealthPlane(d, cfg.Health)
 	d.dispatchWG.Add(1)
 	go d.dispatcher()
 	return d, nil
@@ -374,9 +374,7 @@ func (d *DFK) Loads() []sched.Load {
 				}
 			}
 		}
-		if d.hp != nil {
-			out[i].Health = d.hp.state(ex.Label())
-		}
+		out[i].Health = d.hp.state(ex.Label())
 	}
 	return out
 }
@@ -564,7 +562,7 @@ func (d *DFK) submit(ctx context.Context, a *App, args []any, kwargs map[string]
 	id := d.graph.NextID()
 	rec := task.NewRecord(id, a.name, args, kwargs)
 	fut := rec.Future
-	// The retire path releases the quota slot whichever way the task
+	// The terminal path releases the quota slot whichever way the task
 	// concluded — done, failed, memoized, or canceled — so admission
 	// accounting cannot leak.
 	if admitted {
@@ -626,8 +624,7 @@ func (d *DFK) submit(ctx context.Context, a *App, args []any, kwargs map[string]
 		}
 	}
 
-	d.emitState(rec, "", "pending")
-	if err := rec.SetState(task.Pending); err != nil {
+	if err := d.transition(rec, task.Pending); err != nil {
 		d.failTask(rec, err)
 		return fut
 	}
@@ -733,37 +730,25 @@ func (d *DFK) launch(rec *task.Record, a *App) {
 	}
 	if memoKey != "" {
 		rec.SetMemoKey(memoKey)
-		if v, hit := d.memoizer.Lookup(memoKey); hit {
-			// The payload built for the key was never installed on the
-			// record; drop its reference here (a memoized task ships no
-			// bytes anywhere).
-			payload.Release()
-			from := rec.State().String()
-			if rec.SetState(task.Memoized) == nil {
-				d.emitState(rec, from, "memoized")
-				_ = rec.Future.SetResult(v)
-				d.retire(rec)
-			}
-			return
-		}
+		v, hit := d.memoizer.Lookup(memoKey)
 		// Local miss: consult the shared content-addressed tier, where
 		// another DFK (or an earlier incarnation of this one) may already
 		// have keyed the result under the same app|body|args digest. A hit
 		// settles exactly like a memo hit — and promotes the entry into the
 		// local table (and its checkpoint), so the next lookup never leaves
 		// the process.
-		if d.cache != nil {
-			if v, hit := d.cache.Get(memoKey); hit {
+		if !hit && d.cache != nil {
+			if v, hit = d.cache.Get(memoKey); hit {
 				_ = d.memoizer.Store(memoKey, v)
-				payload.Release()
-				from := rec.State().String()
-				if rec.SetState(task.Memoized) == nil {
-					d.emitState(rec, from, "memoized")
-					_ = rec.Future.SetResult(v)
-					d.retire(rec)
-				}
-				return
 			}
+		}
+		if hit {
+			// The payload built for the key was never installed on the
+			// record; drop its reference here (a memoized task ships no
+			// bytes anywhere).
+			payload.Release()
+			d.settle(rec, task.Memoized, v, nil)
+			return
 		}
 	}
 	// Only a task that actually has to execute needs encodable arguments —
@@ -779,36 +764,21 @@ func (d *DFK) launch(rec *task.Record, a *App) {
 		d.failTask(rec, encErr)
 		return
 	}
-	// The record owns the EncodeArgs reference (released at retirement);
-	// the attempt takes its own, released when the attempt settles.
-	rec.SetPayload(payload)
 	// Durably record the submission — payload, memo key, tenant, priority,
 	// and retry budget, everything recovery needs to re-admit the task
 	// through this same boundary. A memo hit above never reaches the log:
 	// it launches nothing, so there is nothing to recover. The hot-path cost
 	// with WAL unset is one nil check.
-	var walKey int64
 	if d.wal != nil {
 		k, err := d.wal.Submit(a.name, memoKey, rec.Tenant(), rec.Priority(),
 			rec.TenantWeight(), rec.MaxRetries(), payload.Bytes())
 		if err != nil {
 			d.emitWAL(rec.ID, "submit", err)
 		} else {
-			walKey = k
 			rec.SetWALKey(k)
 		}
 	}
-	pl := &pendingLaunch{
-		d: d, rec: rec, gen: rec.Gen(), app: a, args: args, kwargs: kwargs,
-		payload: payload.Retain(),
-		wireID:  rec.ID, priority: rec.Priority(),
-		tenant: rec.Tenant(), weight: rec.TenantWeight(),
-		walKey: walKey, walAttempt: 1,
-	}
-	if d.schedUsesDigest {
-		pl.digest = payload.ArgsHash()
-	}
-	d.enqueueAttempt(pl)
+	d.dispatchFirst(rec, a, args, kwargs, payload, 1)
 }
 
 // cancelTask concludes a task whose submission context was canceled. The
@@ -819,10 +789,9 @@ func (d *DFK) launch(rec *task.Record, a *App) {
 // executor supports cancellation. Idempotent and a no-op on terminal tasks,
 // so canceling after completion changes nothing.
 func (d *DFK) cancelTask(rec *task.Record, cause error) {
-	if rec.State().Terminal() {
+	if !d.failTask(rec, cause) {
 		return
 	}
-	d.failTask(rec, cause)
 	if af, wire := rec.Attempt(); af != nil {
 		// Conclude the attempt after failTask: attemptDone's terminal guard
 		// then sees a settled task and neither retries nor double-fails.
@@ -835,7 +804,10 @@ func (d *DFK) cancelTask(rec *task.Record, cause error) {
 	}
 }
 
-func (d *DFK) completeTask(rec *task.Record, a *App, v any) {
+// completeTask publishes a result to the memo tiers, stages out declared
+// outputs, and settles the task Done. The memo Store precedes the WAL
+// terminal record (the checkpoint/WAL contract in internal/memo).
+func (d *DFK) completeTask(rec *task.Record, v any) {
 	if key := rec.MemoKey(); key != "" {
 		_ = d.memoizer.Store(key, v)
 		// Publish to the shared tier too, so sibling DFKs (and post-restart
@@ -858,52 +830,50 @@ func (d *DFK) completeTask(rec *task.Record, a *App, v any) {
 			}
 		}
 	}
-	from := rec.State().String()
-	if rec.SetState(task.Done) != nil {
-		// Lost the race to another terminal path (cancellation); that path
-		// settled the future and retires the record.
-		return
-	}
-	d.emitState(rec, from, "done")
-	// The memo Store above ran first, so by the time this terminal record is
-	// durable the checkpoint entry it points at is too (the checkpoint/WAL
-	// consistency contract in internal/memo). The digest is the memo key;
-	// recovery resolves the value through the checkpoint, never from the log.
-	d.logTerminal(rec, wal.OutcomeDone, rec.MemoKey())
-	_ = rec.Future.SetResult(v)
-	d.retire(rec)
+	d.settle(rec, task.Done, v, nil)
 }
 
-// failTask wraps the exception and associates it with the future (§4.1).
-// Idempotent on terminal tasks — SetState decides the exactly-once winner —
-// so a stale attempt racing its own retry (or timeout) cannot emit duplicate
-// failure events for, or double-retire, a concluded task.
-func (d *DFK) failTask(rec *task.Record, err error) {
-	if rec.State().Terminal() {
-		return
-	}
-	from := rec.State().String()
-	if rec.SetState(task.Failed) != nil {
-		return
-	}
-	d.emitState(rec, from, "failed")
-	d.logTerminal(rec, wal.OutcomeFailed, "")
-	_ = rec.Future.SetError(fmt.Errorf("dfk: task %d (%s): %w", rec.ID, rec.AppName, err))
-	d.retire(rec)
+// failTask wraps the exception and associates it with the future (§4.1),
+// reporting whether it concluded the task. A no-op on terminal tasks.
+func (d *DFK) failTask(rec *task.Record, err error) bool {
+	return d.settle(rec, task.Failed, nil, fmt.Errorf("dfk: task %d (%s): %w", rec.ID, rec.AppName, err))
 }
 
-// logTerminal appends the task's terminal record to the durable log. Must run
-// before retire — retirement may recycle the record and clear its WAL key. A
-// task that never logged a submission (WAL off, memo hit, pre-payload
-// failure) has key 0 and logs nothing.
-func (d *DFK) logTerminal(rec *task.Record, outcome wal.Outcome, digest string) {
-	key := rec.WALKey()
-	if key == 0 {
-		return
+// settle is the one terminal path: every task concludes here exactly once,
+// however it ended. It wins the terminal transition (racing losers — a stale
+// attempt, a second failed dependency — return false having touched nothing),
+// then emits the state event, logs the WAL terminal record, releases the
+// tenant's admission slot, settles the future, and retires the record. The
+// slot is freed first so a caller woken by Result sees TenantLive drop.
+func (d *DFK) settle(rec *task.Record, to task.State, v any, err error) bool {
+	if d.transition(rec, to) != nil {
+		return false
 	}
-	if err := d.wal.Terminal(key, outcome, digest); err != nil {
-		d.emitWAL(rec.ID, "terminal", err)
+	// Key 0 (WAL off, memo hit, pre-payload failure) logs nothing. Done and
+	// Memoized name the memo key as digest: recovery resolves the value
+	// through the checkpoint, never from the log.
+	if key := rec.WALKey(); key != 0 {
+		outcome, digest := wal.OutcomeDone, rec.MemoKey()
+		switch to {
+		case task.Failed:
+			outcome, digest = wal.OutcomeFailed, ""
+		case task.Memoized:
+			outcome = wal.OutcomeMemoized
+		}
+		if werr := d.wal.Terminal(key, outcome, digest); werr != nil {
+			d.emitWAL(rec.ID, "terminal", werr)
+		}
 	}
+	if rec.TakeAdmitted() {
+		d.adm.Release(rec.Tenant())
+	}
+	if err != nil {
+		_ = rec.Future.SetError(err)
+	} else {
+		_ = rec.Future.SetResult(v)
+	}
+	d.retire(rec)
+	return true
 }
 
 // emitWAL records a durable-log append error. Post-crash appends (the log
@@ -923,19 +893,15 @@ func (d *DFK) emitWAL(taskID int64, op string, err error) {
 }
 
 // retire concludes a task's bookkeeping after its future settled: detach the
-// cancellation watcher, release the admission slot and the record's payload
-// reference, prune the record from the graph (unless Config.RetainRecords),
-// and count the task done for WaitAll. Exactly one terminal path reaches
-// here per task — the one whose SetState to a terminal state succeeded.
+// cancellation watcher, release the record's payload reference, prune the
+// record from the graph (unless Config.RetainRecords), and count the task
+// done for WaitAll. Only settle calls it, once per task.
 // Dependents observed the future inside SetResult/SetError (done callbacks
 // run synchronously there), so pruning afterwards never hides a value a
 // dependent still needs: results live on futures, not records.
 func (d *DFK) retire(rec *task.Record) {
 	if stop := rec.TakeCancelStop(); stop != nil {
 		stop()
-	}
-	if rec.TakeAdmitted() {
-		d.adm.Release(rec.Tenant())
 	}
 	if d.cfg.RetainRecords {
 		d.wg.Done()
@@ -997,8 +963,9 @@ func (d *DFK) newRouter() *router {
 // pick applies hints to narrow the eligible set and delegates the choice
 // to the configured scheduler (the paper's "picked at random" policy is
 // the default). Priority-aware schedulers additionally see the task's
-// dispatch priority. With the health plane on, candidates whose circuit
-// breakers reject work are filtered out first: an all-open set yields
+// dispatch priority. Candidates whose circuit breakers reject work are
+// filtered out first (the flat plane has no breakers, so it filters nothing):
+// an all-open set yields
 // ErrNoHealthyExecutor (which the dispatcher converts into an overload
 // park, not a task failure) unless the task is pinned and PinnedFailFast
 // demands an immediate permanent failure; a retry with stick affinity
@@ -1020,24 +987,21 @@ func (r *router) pick(pl *pendingLaunch) (executor.Executor, error) {
 				candidates = append(candidates, r.d.executors[h])
 			}
 		}
-	} else if pl.stick != "" && r.d.hp != nil && r.d.hp.routable(pl.stick) {
+	} else if pl.stick != "" && r.d.hp.routable(pl.stick) {
 		if r.frozen != nil {
 			candidates = []executor.Executor{r.frozen[pl.stick]}
 		} else {
 			candidates = []executor.Executor{r.d.executors[pl.stick]}
 		}
 	}
-	if r.d.hp != nil {
-		filtered, ok := r.d.hp.filterRoutable(candidates)
-		if !ok {
-			if len(hints) > 0 && r.d.hp.pinnedFailFast {
-				// Deliberately does not wrap ErrNoHealthyExecutor: this is a
-				// permanent failure, not a parkable overload.
-				return nil, fmt.Errorf("dfk: pinned executor %q circuit open (fail-fast)", hints[0])
-			}
-			return nil, health.ErrNoHealthyExecutor
+	candidates, ok := r.d.hp.filterRoutable(candidates)
+	if !ok {
+		if len(hints) > 0 && r.d.hp.pinnedFailFast {
+			// Deliberately does not wrap ErrNoHealthyExecutor: this is a
+			// permanent failure, not a parkable overload.
+			return nil, fmt.Errorf("dfk: pinned executor %q circuit open (fail-fast)", hints[0])
 		}
-		candidates = filtered
+		return nil, health.ErrNoHealthyExecutor
 	}
 	var ex executor.Executor
 	var err error
@@ -1061,23 +1025,48 @@ func (r *router) pick(pl *pendingLaunch) (executor.Executor, error) {
 	if r.frozen != nil {
 		r.frozen[real.Label()].Bump()
 	}
-	if r.d.hp != nil {
-		r.d.hp.acquire(real.Label())
-	}
+	r.d.hp.acquire(real.Label())
 	return real, nil
 }
 
-func (d *DFK) emitState(rec *task.Record, from, to string) {
+// transition moves rec to state to and emits the state event only if the
+// move happened, so each task's events trace a legal path through the task
+// state machine.
+func (d *DFK) transition(rec *task.Record, to task.State) error {
+	from, err := rec.Advance(to)
+	if err == nil && from != to && !silent(d.mon) {
+		d.emitState(rec, from, to.String())
+	}
+	return err
+}
+
+// emitState records a task-state event; from is the state left (Unsched
+// reads as ""). With monitoring off it returns before stamping the time or
+// reading the record.
+func (d *DFK) emitState(rec *task.Record, from task.State, to string) {
+	if silent(d.mon) {
+		return
+	}
+	fromName := ""
+	if from != task.Unsched {
+		fromName = from.String()
+	}
 	d.mon.Emit(monitor.Event{
 		Kind:     monitor.KindTaskState,
 		At:       time.Now(),
 		TaskID:   rec.ID,
 		App:      rec.AppName,
-		From:     from,
+		From:     fromName,
 		To:       to,
 		Executor: rec.Executor(),
 		Tenant:   rec.Tenant(),
 	})
+}
+
+// silent reports whether s discards every event.
+func silent(s monitor.Sink) bool {
+	_, nop := s.(monitor.Nop)
+	return nop
 }
 
 // emitTenant records an admission outcome ("shed", or "admitted" with the
@@ -1124,11 +1113,6 @@ func (d *DFK) Shutdown() error {
 	// it then lets the dispatcher drain and exit, after which the lanes can
 	// no longer receive work and are drained the same way.
 	d.wg.Wait()
-	if d.hp != nil {
-		// No task is terminal while parked for backoff, so the delay heap is
-		// empty once wg drains; stopping the plane here cannot strand work.
-		d.hp.close()
-	}
 	d.queue.Close()
 	d.dispatchWG.Wait()
 	for _, l := range d.lanes {

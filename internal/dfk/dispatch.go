@@ -87,12 +87,11 @@ type pendingLaunch struct {
 	walKey     int64
 	walAttempt int
 	// Health-plane state, threaded attempt to attempt (zero-valued and
-	// untouched when Config.Health is nil — value fields only, so the
-	// disabled plane adds no allocation to the hot path). kills is the
-	// distinct managers this task's attempts have killed (poison quarantine
-	// counts them); free counts uncharged retries consumed per failure
-	// class; stick is the retry-affinity executor for non-failover classes
-	// ("" = none).
+	// untouched by the flat plane — value fields only, so a first attempt
+	// pays no allocation for them). kills is the distinct managers this
+	// task's attempts have killed (poison quarantine counts them); free
+	// counts uncharged retries consumed per failure class; stick is the
+	// retry-affinity executor for non-failover classes ("" = none).
 	kills []string
 	free  [health.NumClasses]uint8
 	stick string
@@ -221,19 +220,16 @@ func (d *DFK) dispatcher() {
 			}
 			ex, err := route.pick(pl)
 			if err != nil {
-				if errors.Is(err, health.ErrNoHealthyExecutor) {
-					// Every admissible breaker is open: park, don't fail. The
-					// attempt concludes with the overload error; attemptDone
-					// classifies it and re-enters dispatch after backoff with
-					// a fresh timeout clock.
-					pl.rec.Exit()
-					_ = pl.attempt.SetError(err)
-					continue
+				// Every admissible breaker open means park, not fail: the
+				// attempt concludes with the overload error, which the health
+				// plane classifies and re-dispatches after backoff with a
+				// fresh timeout clock. Any other error fails the task first,
+				// then completes the attempt: the done hook stops the timeout
+				// timer, and attemptDone's terminal guard keeps it from
+				// re-processing the failure.
+				if !errors.Is(err, health.ErrNoHealthyExecutor) {
+					d.failTask(pl.rec, err)
 				}
-				// Fail the task first, then complete the attempt: the done
-				// hook stops the timeout timer, and attemptDone's terminal
-				// guard keeps it from re-processing the failure.
-				d.failTask(pl.rec, err)
 				pl.rec.Exit()
 				_ = pl.attempt.SetError(err)
 				continue
@@ -278,9 +274,10 @@ func (d *DFK) laneRunner(l *lane) {
 				// timer wins the race after this check, the stale attempt
 				// is still submitted as a ghost: its remote result
 				// reconciles by wire id, the relay below is a no-op on
-				// the already-failed attempt future, and its SetState
-				// interleaves harmlessly with the retry's (same-state
-				// transitions no-op; failTask skips terminal tasks).
+				// the already-failed attempt future, and its launch
+				// transition interleaves harmlessly with the retry's (a
+				// same-state move is a silent no-op; a terminal task
+				// refuses it and failTask loses to the settled outcome).
 				continue
 			}
 			// Chaos: an injected submission failure concludes this attempt
@@ -295,8 +292,7 @@ func (d *DFK) laneRunner(l *lane) {
 				// attempt settled); drop the stale entry.
 				continue
 			}
-			d.emitState(pl.rec, pl.rec.State().String(), "launched")
-			if err := pl.rec.SetState(task.Launched); err != nil {
+			if err := d.transition(pl.rec, task.Launched); err != nil {
 				d.failTask(pl.rec, err)
 				pl.rec.Exit()
 				_ = pl.attempt.SetError(err) // stop the timer, see dispatcher
@@ -350,6 +346,57 @@ func (d *DFK) laneRunner(l *lane) {
 	}
 }
 
+// dispatchFirst installs a task's payload (the record's reference, released
+// at retirement) and enqueues the task's first attempt in this process, which
+// takes its own. walAttempt is 1 for a fresh task, one past the pre-crash
+// launches for a resumed one.
+func (d *DFK) dispatchFirst(rec *task.Record, a *App, args []any, kwargs map[string]any, payload *serialize.Payload, walAttempt int) {
+	rec.SetPayload(payload)
+	pl := &pendingLaunch{
+		d: d, rec: rec, gen: rec.Gen(), app: a, args: args, kwargs: kwargs,
+		payload: payload.Retain(),
+		wireID:  rec.ID, priority: rec.Priority(),
+		tenant: rec.Tenant(), weight: rec.TenantWeight(),
+		walKey: rec.WALKey(), walAttempt: walAttempt,
+	}
+	if d.schedUsesDigest {
+		pl.digest = payload.ArgsHash()
+	}
+	d.logRetry(pl)
+	d.enqueueAttempt(pl)
+}
+
+// retry builds the attempt after pl: a fresh object (the old one may still
+// sit in a lane queue and must stay recognizable as dead) under a fresh wire
+// id from the task id sequence (the old attempt may still run remotely under
+// its id). It shares the encode-once payload under its own reference and
+// carries the health-plane state forward.
+func (pl *pendingLaunch) retry() *pendingLaunch {
+	next := &pendingLaunch{
+		d: pl.d, rec: pl.rec, gen: pl.gen, app: pl.app,
+		args: pl.args, kwargs: pl.kwargs,
+		payload: pl.payload.Retain(),
+		wireID:  pl.d.graph.NextID(), priority: pl.priority,
+		tenant: pl.tenant, weight: pl.weight, digest: pl.digest,
+		walKey: pl.walKey, walAttempt: pl.walAttempt + 1,
+		kills: pl.kills, free: pl.free,
+	}
+	pl.d.logRetry(next)
+	return next
+}
+
+// logRetry durably charges every attempt past a task's first — free retries
+// and resumed tasks included — before it can run, so the log's launch count
+// never trails the real launches. The lane runner logs attempt 1.
+func (d *DFK) logRetry(pl *pendingLaunch) {
+	if pl.walKey == 0 || pl.walAttempt == 1 {
+		return
+	}
+	if err := d.wal.Retry(pl.walKey, pl.walAttempt); err != nil {
+		d.emitWAL(pl.rec.ID, "retry", err)
+	}
+}
+
 // enqueueAttempt arms one execution attempt — its outcome future, the
 // timeout timer against it, and the retry-or-finish hook — and hands it to
 // the routing queue. Arming the timer here, not after submission, is what
@@ -391,89 +438,32 @@ func (d *DFK) enqueueAttempt(pl *pendingLaunch) {
 	d.queue.Push(pl.wireID, pl)
 }
 
-// attemptDone handles one attempt's outcome: completion, or retry through
-// the scheduler while budget remains (§4.1: "Parsl is able to retry the
-// task by resubmitting it to an executor"). A retry re-enters the dispatch
-// queue as a fresh attempt, so the scheduler re-picks an executor from
-// current load — a task lost with a dying executor naturally drains toward
-// a healthier one. Runs inside the caller's Enter/Exit window, so the record
-// is valid throughout even if this call retires it.
+// attemptDone handles one attempt's outcome: a success completes the task; a
+// failure tells the executor to drop the attempt's ghost, then goes to the
+// health plane, which retries through the scheduler while budget remains
+// (§4.1: "Parsl is able to retry the task by resubmitting it to an
+// executor") or fails the task. Runs inside the caller's Enter/Exit window,
+// so the record is valid throughout even if this call retires it.
 func (d *DFK) attemptDone(pl *pendingLaunch, af *future.Future) {
 	if pl.rec.State().Terminal() {
 		// The task already failed on a dispatch-side path (which completes
 		// the attempt after failTask); nothing left to do.
 		return
 	}
+	label := pl.rec.Executor()
 	v, err := af.Result()
 	if err == nil {
-		if d.hp != nil {
-			if label := pl.rec.Executor(); label != "" {
-				d.hp.recordSuccess(label)
-			}
-		}
-		d.completeTask(pl.rec, pl.app, v)
+		d.hp.recordSuccess(label)
+		d.completeTask(pl.rec, v)
 		return
 	}
-	// The attempt is abandoned; tell its executor to drop whatever it still
-	// holds under this wire id. For errors the executor itself reported this
-	// is a no-op (its bookkeeping is already clean), but a timeout leaves
-	// the attempt live executor-side — and if its frame was lost on the wire
-	// (drop, corruption) the executor would otherwise carry the ghost
-	// entry, and its inflated Outstanding() load signal, forever.
-	if label := pl.rec.Executor(); label != "" {
-		if c, ok := d.executors[label].(executor.Canceler); ok {
-			c.Cancel(pl.wireID)
-		}
+	// Tell the executor to drop the attempt. A no-op for errors it reported
+	// itself, but a timeout leaves the attempt live executor-side — and if its frame was lost on the wire
+	// the executor would otherwise carry the ghost entry, and its inflated
+	// Outstanding() load signal, forever. An unrouted attempt has no label
+	// and so no Canceler.
+	if c, ok := d.executors[label].(executor.Canceler); ok {
+		c.Cancel(pl.wireID)
 	}
-	if d.hp != nil {
-		// The health plane owns failure handling end to end: classification,
-		// breaker/quarantine bookkeeping, budget charging, and backoff-paced
-		// re-dispatch. The inline path below stays byte-identical when off.
-		d.hp.attemptFailed(pl, err)
-		return
-	}
-	if pl.rec.IncAttempts() <= pl.rec.MaxRetries() {
-		// A launched attempt moves to Retrying; an attempt that timed out
-		// while still queued is still Pending — no legal (or needed) state
-		// change, it simply re-enters the queue, and the monitor event says
-		// so rather than claiming a Retrying transition that never happens.
-		st := pl.rec.State()
-		retryable := false
-		if st == task.Pending {
-			d.emitState(pl.rec, st.String(), "requeued")
-			retryable = true
-		} else if pl.rec.SetState(task.Retrying) == nil {
-			d.emitState(pl.rec, st.String(), "retrying")
-			retryable = true
-		}
-		if retryable {
-			// Fresh attempt object (the old one may still sit in a lane
-			// queue and must stay recognizable as dead) and fresh wire id
-			// (the timed-out attempt may still be running remotely under
-			// the old one; ids are drawn from the task id sequence, so
-			// they never collide with any task's first-attempt id).
-			// The retry reuses the encode-once payload — resubmission costs
-			// zero re-serialization no matter how many attempts it takes —
-			// taking its own reference before the old attempt's drops.
-			next := &pendingLaunch{
-				d: d, rec: pl.rec, gen: pl.gen, app: pl.app,
-				args: pl.args, kwargs: pl.kwargs,
-				payload: pl.payload.Retain(),
-				wireID:  d.graph.NextID(), priority: pl.priority,
-				tenant: pl.tenant, weight: pl.weight, digest: pl.digest,
-				walKey: pl.walKey, walAttempt: pl.walAttempt + 1,
-			}
-			// Log the retry before it can run: a crash after the new attempt
-			// launches but before its record lands must still replay with the
-			// budget charged.
-			if next.walKey != 0 {
-				if err := d.wal.Retry(next.walKey, next.walAttempt); err != nil {
-					d.emitWAL(pl.rec.ID, "retry", err)
-				}
-			}
-			d.enqueueAttempt(next)
-			return
-		}
-	}
-	d.failTask(pl.rec, err)
+	d.hp.attemptFailed(pl, err)
 }

@@ -1,10 +1,9 @@
 package dfk
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -14,14 +13,18 @@ import (
 	"repro/internal/task"
 )
 
-// healthPlane is the DFK-side assembly of the self-healing retry plane
-// (internal/health): it classifies every failed attempt, paces retries
-// through a delay heap with per-class deterministic backoff, tracks one
-// circuit breaker per executor, and quarantines poison tasks. The plane is
-// nil unless Config.Health is set; every hot-path touchpoint is a single nil
-// check, so the disabled DFK is byte-identical to the pre-health one.
+// healthPlane is the DFK's one failure path, the DFK side of the self-healing
+// retry plane (internal/health): it classifies every failed attempt, paces
+// retries with per-class deterministic backoff, tracks one circuit breaker
+// per executor, and quarantines poison tasks. With Config.Health nil it is
+// the flat plane: every class charges the budget and re-dispatches at once
+// with failover, there are no breakers (a missing breaker counts as
+// routable), no quarantine, and no events.
 type healthPlane struct {
-	d        *DFK
+	d *DFK
+	// mon receives KindHealth events: the DFK's sink, or monitor.Nop for
+	// the flat plane.
+	mon      monitor.Sink
 	policies [health.NumClasses]health.Policy
 	breakers map[string]*health.Breaker
 	seed     int64
@@ -29,28 +32,25 @@ type healthPlane struct {
 	// task; 0 disables quarantine.
 	quarantineAfter int
 	pinnedFailFast  bool
-
-	mu   sync.Mutex
-	heap delayHeap
-	wake chan struct{}
-	done chan struct{}
-	wg   sync.WaitGroup
-
 	// backoffs counts scheduled backoffs for monitor rate-limiting.
 	backoffs atomic.Int64
 }
 
+// newHealthPlane builds the plane for opts; nil opts builds the flat plane.
 func newHealthPlane(d *DFK, opts *health.Options) *healthPlane {
-	hp := &healthPlane{
-		d:               d,
-		policies:        opts.PolicyTable(),
-		breakers:        make(map[string]*health.Breaker, len(d.execList)),
-		seed:            opts.Seed,
-		quarantineAfter: opts.QuarantineAfter,
-		pinnedFailFast:  opts.PinnedFailFast,
-		wake:            make(chan struct{}, 1),
-		done:            make(chan struct{}),
+	hp := &healthPlane{d: d, mon: monitor.Nop{}}
+	if opts == nil {
+		for c := range hp.policies {
+			hp.policies[c] = health.Policy{Charge: true, Failover: true}
+		}
+		return hp
 	}
+	hp.mon = d.mon
+	hp.policies = opts.PolicyTable()
+	hp.breakers = make(map[string]*health.Breaker, len(d.execList))
+	hp.seed = opts.Seed
+	hp.quarantineAfter = opts.QuarantineAfter
+	hp.pinnedFailFast = opts.PinnedFailFast
 	if hp.seed == 0 {
 		hp.seed = d.cfg.Seed
 	}
@@ -68,24 +68,7 @@ func newHealthPlane(d *DFK, opts *health.Options) *healthPlane {
 		})
 		hp.breakers[label] = b
 	}
-	hp.wg.Add(1)
-	go hp.runner()
 	return hp
-}
-
-// close stops the delay runner and releases any attempt still parked in the
-// heap. Shutdown calls it after wg.Wait(), so the heap is empty in practice
-// (a task awaiting backoff is non-terminal and holds the task waitgroup);
-// the drain is defensive.
-func (hp *healthPlane) close() {
-	close(hp.done)
-	hp.wg.Wait()
-	hp.mu.Lock()
-	for _, dl := range hp.heap {
-		dl.pl.payload.Release()
-	}
-	hp.heap = nil
-	hp.mu.Unlock()
 }
 
 // state reports one executor's breaker position for sched.Load.
@@ -97,10 +80,11 @@ func (hp *healthPlane) state(label string) string {
 	return b.State().String()
 }
 
-// routable reports whether an executor's breaker currently admits work.
+// routable reports whether an executor's breaker currently admits work; an
+// executor without a breaker always does.
 func (hp *healthPlane) routable(label string) bool {
 	b := hp.breakers[label]
-	return b != nil && b.Routable()
+	return b == nil || b.Routable()
 }
 
 // filterRoutable narrows a candidate set to executors whose breakers admit
@@ -142,11 +126,11 @@ func (hp *healthPlane) recordSuccess(label string) {
 	}
 }
 
-// attemptFailed is the health-plane replacement for attemptDone's inline
-// retry path: classify the failure, update the executor's breaker, check the
-// poison-kill history, charge (or forgive) the retry budget per the class
-// policy, and schedule the next attempt after deterministic backoff. Runs
-// inside the caller's Enter/Exit window on pl.rec.
+// attemptFailed handles every failed attempt: classify the failure, update
+// the executor's breaker, check the poison-kill history, charge (or forgive)
+// the retry budget per the class policy, and schedule the next attempt after
+// deterministic backoff. Runs inside the caller's Enter/Exit window on
+// pl.rec.
 func (hp *healthPlane) attemptFailed(pl *pendingLaunch, err error) {
 	d := hp.d
 	cls := health.Classify(err)
@@ -172,7 +156,7 @@ func (hp *healthPlane) attemptFailed(pl *pendingLaunch, err error) {
 	// kill history, and crossing the quarantine bar fails the task permanently
 	// with the full history — before any retry-budget consideration, because
 	// re-dispatching a decapitating task is never worth a budget check.
-	if cls == health.ClassExecutorLost {
+	if cls == health.ClassExecutorLost && hp.quarantineAfter > 0 {
 		key := ""
 		var le *executor.LostError
 		if errors.As(err, &le) {
@@ -181,10 +165,10 @@ func (hp *healthPlane) attemptFailed(pl *pendingLaunch, err error) {
 				key = le.Detail
 			}
 		}
-		if key != "" && !containsStr(pl.kills, key) {
+		if key != "" && !slices.Contains(pl.kills, key) {
 			pl.kills = append(pl.kills, key)
 		}
-		if hp.quarantineAfter > 0 && len(pl.kills) >= hp.quarantineAfter {
+		if len(pl.kills) >= hp.quarantineAfter {
 			qerr := &health.QuarantineError{TaskID: pl.rec.ID, Kills: pl.kills, Last: err}
 			hp.emitQuarantine(pl, qerr)
 			d.failTask(pl.rec, qerr)
@@ -208,42 +192,21 @@ func (hp *healthPlane) attemptFailed(pl *pendingLaunch, err error) {
 		d.failTask(pl.rec, err)
 		return
 	}
-	// Same state discipline as the inline path: a queued attempt is still
-	// Pending and simply re-enters; a launched one moves to Retrying.
-	st := pl.rec.State()
-	retryable := false
-	if st == task.Pending {
-		d.emitState(pl.rec, st.String(), "requeued")
-		retryable = true
-	} else if pl.rec.SetState(task.Retrying) == nil {
-		d.emitState(pl.rec, st.String(), "retrying")
-		retryable = true
-	}
-	if !retryable {
+	// A launched attempt moves to Retrying. An attempt that timed out while
+	// still queued is still Pending: no state change is legal (or needed), it
+	// simply re-enters the queue, and the monitor event says so rather than
+	// claiming a Retrying transition that never happens.
+	if st := pl.rec.State(); st == task.Pending {
+		d.emitState(pl.rec, st, "requeued")
+	} else if d.transition(pl.rec, task.Retrying) != nil {
 		d.failTask(pl.rec, err)
 		return
 	}
-	next := &pendingLaunch{
-		d: d, rec: pl.rec, gen: pl.gen, app: pl.app,
-		args: pl.args, kwargs: pl.kwargs,
-		payload: pl.payload.Retain(),
-		wireID:  d.graph.NextID(), priority: pl.priority,
-		tenant: pl.tenant, weight: pl.weight, digest: pl.digest,
-		walKey: pl.walKey, walAttempt: pl.walAttempt + 1,
-		kills: pl.kills, free: pl.free,
-	}
+	next := pl.retry()
 	if !pol.Failover && label != "" {
 		// Retry affinity: a non-failover class prefers the executor it failed
 		// on, as long as its breaker keeps admitting (router honors stick).
 		next.stick = label
-	}
-	// Free retries log Retry records too: the durable launch count tracks
-	// every launch, so recovery's replay stays truthful even though the
-	// in-memory budget was not charged.
-	if next.walKey != 0 {
-		if werr := d.wal.Retry(next.walKey, next.walAttempt); werr != nil {
-			d.emitWAL(pl.rec.ID, "retry", werr)
-		}
 	}
 	delay := pol.Delay(hp.seed, pl.rec.ID, next.walAttempt)
 	hp.emitBackoff(pl, cls, next.walAttempt, delay)
@@ -253,78 +216,12 @@ func (hp *healthPlane) attemptFailed(pl *pendingLaunch, err error) {
 		d.enqueueAttempt(next)
 		return
 	}
-	hp.schedule(next, delay)
-}
-
-func containsStr(s []string, v string) bool {
-	for _, e := range s {
-		if e == v {
-			return true
-		}
-	}
-	return false
-}
-
-// delayedLaunch is one attempt parked until its backoff expires.
-type delayedLaunch struct {
-	at time.Time
-	pl *pendingLaunch
-}
-
-// delayHeap is a min-heap on release time.
-type delayHeap []delayedLaunch
-
-func (h delayHeap) Len() int           { return len(h) }
-func (h delayHeap) Less(i, j int) bool { return h[i].at.Before(h[j].at) }
-func (h delayHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *delayHeap) Push(x any)        { *h = append(*h, x.(delayedLaunch)) }
-func (h *delayHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
-// schedule parks an attempt until its backoff expires, then re-enters it
-// through the dispatch queue. The attempt's timeout clock starts at the
-// re-launch (enqueueAttempt arms it), not here — backoff time is never
-// charged against the attempt.
-func (hp *healthPlane) schedule(pl *pendingLaunch, delay time.Duration) {
-	hp.mu.Lock()
-	heap.Push(&hp.heap, delayedLaunch{at: time.Now().Add(delay), pl: pl})
-	hp.mu.Unlock()
-	select {
-	case hp.wake <- struct{}{}:
-	default:
-	}
-}
-
-// runner releases parked attempts as their backoffs expire.
-func (hp *healthPlane) runner() {
-	defer hp.wg.Done()
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	for {
-		var due []*pendingLaunch
-		wait := time.Hour
-		now := time.Now()
-		hp.mu.Lock()
-		for len(hp.heap) > 0 {
-			if d := hp.heap[0].at.Sub(now); d > 0 {
-				wait = d
-				break
-			}
-			due = append(due, heap.Pop(&hp.heap).(delayedLaunch).pl)
-		}
-		hp.mu.Unlock()
-		for _, pl := range due {
-			hp.release(pl)
-		}
-		// A stale expiry from a previous Reset costs one harmless extra loop
-		// iteration; no drain needed.
-		timer.Reset(wait)
-		select {
-		case <-hp.done:
-			return
-		case <-hp.wake:
-		case <-timer.C:
-		}
-	}
+	// Park the attempt until its backoff expires. Its timeout clock starts
+	// at the re-launch (enqueueAttempt arms it), so backoff time is never
+	// charged against the attempt. Shutdown needs no drain: a parked task
+	// holds the task waitgroup until it concludes, and one that concludes
+	// while parked is dropped at release.
+	time.AfterFunc(delay, func() { hp.release(next) })
 }
 
 // release re-enters one parked attempt, revalidating the record first: the
@@ -336,18 +233,17 @@ func (hp *healthPlane) release(pl *pendingLaunch) {
 		return
 	}
 	if pl.rec.State().Terminal() {
-		pl.rec.Exit()
 		pl.payload.Release()
-		return
+	} else {
+		hp.d.enqueueAttempt(pl)
 	}
-	hp.d.enqueueAttempt(pl)
 	pl.rec.Exit()
 }
 
 // emitTransition records a breaker state change. Transitions are rare by
 // construction (bounded by OpenFor cycles), so they are never rate-limited.
 func (hp *healthPlane) emitTransition(label string, from, to health.BreakerState) {
-	hp.d.mon.Emit(monitor.Event{
+	hp.mon.Emit(monitor.Event{
 		Kind:     monitor.KindHealth,
 		At:       time.Now(),
 		Executor: label,
@@ -361,11 +257,14 @@ func (hp *healthPlane) emitTransition(label string, from, to health.BreakerState
 // the first 16 per run and every 256th after, so small runs observe the
 // plane working and kill-storms don't pay a monitor event per retry.
 func (hp *healthPlane) emitBackoff(pl *pendingLaunch, cls health.Class, attempt int, delay time.Duration) {
+	if silent(hp.mon) {
+		return
+	}
 	n := hp.backoffs.Add(1)
 	if n > 16 && n%256 != 0 {
 		return
 	}
-	hp.d.mon.Emit(monitor.Event{
+	hp.mon.Emit(monitor.Event{
 		Kind:     monitor.KindHealth,
 		At:       time.Now(),
 		TaskID:   pl.rec.ID,
@@ -379,7 +278,7 @@ func (hp *healthPlane) emitBackoff(pl *pendingLaunch, cls health.Class, attempt 
 // emitQuarantine records a poison-task quarantine (never rate-limited; each
 // is a permanent task failure).
 func (hp *healthPlane) emitQuarantine(pl *pendingLaunch, qerr *health.QuarantineError) {
-	hp.d.mon.Emit(monitor.Event{
+	hp.mon.Emit(monitor.Event{
 		Kind:     monitor.KindHealth,
 		At:       time.Now(),
 		TaskID:   pl.rec.ID,

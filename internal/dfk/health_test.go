@@ -333,3 +333,77 @@ func TestHealthBackoffScheduleDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestHealthFlatPlaneWhenNil: with Config.Health nil every failed attempt
+// still goes through the plane, flattened: every class charges the budget and
+// re-dispatches at once with failover, so a transient-wire fault fails a
+// Retries=0 task the full plane would forgive, a timed-out attempt is
+// relaunched within its own timeout, and the plane emits no health events.
+func TestHealthFlatPlaneWhenNil(t *testing.T) {
+	store := monitor.NewStore()
+	d := newDFK(t, func(c *Config) {
+		c.Retries = 0
+		c.Monitor = store
+		c.TaskTimeout = 300 * time.Millisecond
+	})
+	flat := health.Policy{Charge: true, Failover: true}
+	for c, pol := range d.hp.policies {
+		if pol != flat || pol.Delay(1, 1, 2) != 0 {
+			t.Fatalf("class %s policy = %+v, want %+v with no backoff", health.Class(c), pol, flat)
+		}
+	}
+
+	restore := chaos.Enable(chaos.New(5, chaos.Plan{
+		{Point: chaos.PointSubmitFail, Act: chaos.ActFailClass, Class: "transient-wire", Prob: 1, Max: 1},
+	}))
+	wire, err := d.PythonApp("wire", func(args []any, _ map[string]any) (any, error) { return "done", nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = wire.Call().Result()
+	restore()
+	if err == nil {
+		t.Fatal("transient-wire fault was forgiven: the flat plane must charge every class")
+	}
+
+	release := make(chan struct{})
+	defer close(release)
+	var calls sync.Mutex
+	n := 0
+	slow, err := d.PythonApp("slow", func(args []any, _ map[string]any) (any, error) {
+		calls.Lock()
+		n++
+		first := n == 1
+		calls.Unlock()
+		if first {
+			<-release // outlives the attempt timeout
+		}
+		return "second", nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fut := slow.Submit(context.Background(), nil, WithRetries(1))
+	if v, err := fut.Result(); err != nil || v != "second" {
+		t.Fatalf("timed-out task = %v, %v; want the retry's result", v, err)
+	}
+	var retryAt time.Time
+	relaunched := false
+	for _, e := range store.TaskHistory(fut.TaskID) {
+		switch {
+		case e.To == "retrying":
+			retryAt = e.At
+		case e.To == "launched" && !retryAt.IsZero():
+			if gap := e.At.Sub(retryAt); gap >= 300*time.Millisecond {
+				t.Fatalf("timeout retry relaunched %v after the failure, want immediately", gap)
+			}
+			relaunched = true
+		}
+	}
+	if !relaunched {
+		t.Fatalf("no retrying->launched sequence in %+v", store.TaskHistory(fut.TaskID))
+	}
+	if ev := store.Events(monitor.KindHealth); len(ev) != 0 {
+		t.Fatalf("flat plane emitted %d health events: %+v", len(ev), ev)
+	}
+}

@@ -142,8 +142,7 @@ func (d *DFK) resume(key int64, info *wal.TaskInfo, rcv *Recovery) {
 	rec.SetPriority(info.Priority)
 	rec.SetWALKey(key)
 	d.graph.Add(rec)
-	d.emitState(rec, "", "pending")
-	if err := rec.SetState(task.Pending); err != nil {
+	if err := d.transition(rec, task.Pending); err != nil {
 		d.failTask(rec, err)
 		return
 	}
@@ -158,13 +157,8 @@ func (d *DFK) resume(key int64, info *wal.TaskInfo, rcv *Recovery) {
 	if info.MemoKey != "" {
 		rec.SetMemoKey(info.MemoKey)
 		if v, hit := d.memoizer.Lookup(info.MemoKey); hit {
-			from := rec.State().String()
-			if rec.SetState(task.Memoized) == nil {
+			if d.settle(rec, task.Memoized, v, nil) {
 				rcv.MemoHits++
-				d.emitState(rec, from, "memoized")
-				d.logTerminal(rec, wal.OutcomeMemoized, info.MemoKey)
-				_ = rec.Future.SetResult(v)
-				d.retire(rec)
 			}
 			return
 		}
@@ -185,26 +179,8 @@ func (d *DFK) resume(key int64, info *wal.TaskInfo, rcv *Recovery) {
 	// The frontier's payload slice aliases the log's live mirror; the record
 	// needs its own copy with its own refcount lifecycle.
 	payload := serialize.PayloadFromBytes(append([]byte(nil), info.Payload...))
-	rec.SetPayload(payload)
-	attempt := info.Launches + 1
-	if info.Launches > 0 {
-		// Charge the resumed attempt durably before it can run, exactly as
-		// an in-process retry would (the lane runner only logs Launch for
-		// attempt 1).
-		if err := d.wal.Retry(key, attempt); err != nil {
-			d.emitWAL(rec.ID, "retry", err)
-		}
-	}
 	a := &App{dfk: d, name: info.App, memoize: info.MemoKey != "", bodyHash: entry.BodyHash()}
-	pl := &pendingLaunch{
-		d: d, rec: rec, gen: rec.Gen(), app: a, args: args, kwargs: kwargs,
-		payload: payload.Retain(),
-		wireID:  id, priority: info.Priority,
-		tenant: info.Tenant, weight: info.Weight,
-		walKey: key, walAttempt: attempt,
-	}
-	if d.schedUsesDigest {
-		pl.digest = payload.ArgsHash()
-	}
-	d.enqueueAttempt(pl)
+	// A resumed attempt past the first is charged durably before it can run,
+	// exactly as an in-process retry would be.
+	d.dispatchFirst(rec, a, args, kwargs, payload, info.Launches+1)
 }

@@ -254,8 +254,9 @@ func (e *QuarantineError) Error() string {
 // Unwrap exposes the final attempt's failure.
 func (e *QuarantineError) Unwrap() error { return e.Last }
 
-// Options configures the plane (dfk.Config.Health). A nil *Options disables
-// it entirely; the zero value enables it with defaults.
+// Options configures the plane (dfk.Config.Health). A nil *Options selects
+// the DFK's flat plane (every class charged, no backoff, breakers or
+// quarantine); the zero value enables the full plane with defaults.
 type Options struct {
 	// Seed drives backoff jitter (0 = the DFK's Config.Seed).
 	Seed int64

@@ -38,13 +38,10 @@ func (TCP) Dial(addr string) (net.Conn, error) {
 }
 
 // Network is an in-memory Transport. Each connection applies a one-way
-// delay of RTT/2 (plus jitter) to every write, modeling the interconnect.
+// delay of RTT/2 to every write, modeling the interconnect.
 type Network struct {
 	// RTT is the simulated round-trip time between any two endpoints.
 	RTT time.Duration
-	// Jitter, when positive, adds up to this much uniform random extra
-	// one-way delay. Determinism matters for tests, so the default is 0.
-	Jitter time.Duration
 
 	mu        sync.Mutex
 	listeners map[string]*listener
@@ -101,7 +98,7 @@ func (n *Network) Dial(addr string) (net.Conn, error) {
 		return nil, fmt.Errorf("%w: %s", ErrConnRefused, addr)
 	}
 	delay := n.RTT / 2
-	client, server := newPair(addr, delay, n.Jitter)
+	client, server := newPair(addr, delay)
 	select {
 	case l.accept <- server:
 		// The listener may close concurrently, orphaning the queued conn;
@@ -181,7 +178,6 @@ type packet struct {
 type conn struct {
 	local, remote simAddr
 	delay         time.Duration
-	jitter        time.Duration
 
 	in   chan packet // written by the peer
 	peer *conn
@@ -195,16 +191,16 @@ type conn struct {
 	readDeadline time.Time
 }
 
-func newPair(addr string, delay, jitter time.Duration) (client, server *conn) {
+func newPair(addr string, delay time.Duration) (client, server *conn) {
 	client = &conn{
 		local: "client", remote: simAddr(addr),
-		delay: delay, jitter: jitter,
+		delay:  delay,
 		in:     make(chan packet, 4096),
 		closed: make(chan struct{}),
 	}
 	server = &conn{
 		local: simAddr(addr), remote: "client",
-		delay: delay, jitter: jitter,
+		delay:  delay,
 		in:     make(chan packet, 4096),
 		closed: make(chan struct{}),
 	}

@@ -338,6 +338,26 @@ func (r *Record) SetState(s State) error {
 	if r.state == s {
 		return nil
 	}
+	return r.setStateLocked(s)
+}
+
+// Advance is SetState for a caller that must know the state it left and must
+// be the only one to conclude the task: from is read under the same lock as
+// the move, and re-entering the terminal state the task already holds is
+// refused rather than a no-op, so exactly one of several racing callers
+// wins a terminal state. A non-terminal same-state call succeeds with
+// from == s and records nothing.
+func (r *Record) Advance(s State) (from State, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	from = r.state
+	if from == s && !s.Terminal() {
+		return from, nil
+	}
+	return from, r.setStateLocked(s)
+}
+
+func (r *Record) setStateLocked(s State) error {
 	if r.state.Terminal() {
 		return fmt.Errorf("task %d: transition %v -> %v from terminal state", r.ID, r.state, s)
 	}

@@ -229,3 +229,28 @@ func TestQuickStateMachineSafety(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAdvanceConcludesOnce: Advance reports the state it left and, unlike
+// SetState, refuses to re-enter the terminal state a task already holds, so
+// of two callers racing to fail a task exactly one wins.
+func TestAdvanceConcludesOnce(t *testing.T) {
+	r := NewRecord(1, "a", nil, nil)
+	if from, err := r.Advance(Pending); err != nil || from != Unsched {
+		t.Fatalf("Advance(Pending) = %v, %v", from, err)
+	}
+	if from, err := r.Advance(Pending); err != nil || from != Pending {
+		t.Fatalf("same-state Advance(Pending) = %v, %v; want a silent no-op", from, err)
+	}
+	if got := len(r.Transitions()); got != 1 {
+		t.Fatalf("same-state Advance recorded a transition: %d", got)
+	}
+	if from, err := r.Advance(Failed); err != nil || from != Pending {
+		t.Fatalf("Advance(Failed) = %v, %v", from, err)
+	}
+	if _, err := r.Advance(Failed); err == nil {
+		t.Fatal("second Advance(Failed) won a terminal state the task already holds")
+	}
+	if err := r.SetState(Failed); err != nil {
+		t.Fatalf("SetState keeps its idempotent same-state contract: %v", err)
+	}
+}

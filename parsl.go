@@ -83,11 +83,13 @@ type (
 	// DependencyError is set on a task's future when a dependency failed
 	// (including when the dependency's submission context was canceled).
 	DependencyError = dfk.DependencyError
-	// HealthOptions enables the self-healing retry plane via Config.Health:
-	// typed failure classification with per-class retry policies, backoff
-	// with deterministic jitter, per-executor circuit breakers, and
-	// poison-task quarantine. Nil disables the plane (the default); the zero
-	// value enables it with defaults.
+	// HealthOptions configures the self-healing retry plane via
+	// Config.Health: typed failure classification with per-class retry
+	// policies, backoff with deterministic jitter, per-executor circuit
+	// breakers, and poison-task quarantine. Nil (the default) keeps the flat
+	// plane: every failure charges the retry budget and re-dispatches at
+	// once, with no breakers, quarantine, or health events. The zero value
+	// enables the full plane with defaults.
 	HealthOptions = health.Options
 	// HealthPolicy is one failure class's retry policy (charge the budget or
 	// not, backoff curve, failover eligibility).
@@ -208,15 +210,7 @@ func NewLocal(n int) (*DFK, error) {
 // "round-robin", "least-outstanding"). The smallest deployment where the
 // scheduler choice is observable.
 func NewLocalMulti(policy string, workersPerPool ...int) (*DFK, error) {
-	if len(workersPerPool) == 0 {
-		return nil, fmt.Errorf("parsl: NewLocalMulti needs at least one pool")
-	}
-	reg := serialize.NewRegistry()
-	exs := make([]executor.Executor, len(workersPerPool))
-	for i, n := range workersPerPool {
-		exs[i] = threadpool.New(fmt.Sprintf("local-%d", i), n, reg)
-	}
-	return dfk.New(dfk.Config{Registry: reg, Executors: exs, SchedulerPolicy: policy})
+	return NewLocalMultiTenant(policy, TenantConfig{}, workersPerPool...)
 }
 
 // TenantConfig bundles the multi-tenancy and backpressure knobs for the
