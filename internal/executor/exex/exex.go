@@ -43,12 +43,11 @@ type PoolConfig struct {
 	// Ranks is the MPI communicator size: 1 manager + (Ranks-1) workers
 	// (default and minimum 2).
 	Ranks int
-	// Prefetch, ResultFlush, FlushInterval and HeartbeatPeriod configure the
-	// rank-0 agent exactly as the same htex.ManagerConfig fields do, with
-	// the same defaults.
+	// Prefetch, ResultFlush and HeartbeatPeriod configure the rank-0 agent
+	// exactly as the same htex.ManagerConfig fields do, with the same
+	// defaults.
 	Prefetch        int
 	ResultFlush     int
-	FlushInterval   time.Duration
 	HeartbeatPeriod time.Duration
 	// MPILatency simulates fabric point-to-point latency.
 	MPILatency time.Duration
@@ -67,7 +66,6 @@ func (c PoolConfig) agent() htex.ManagerConfig {
 		Workers:         c.Ranks - 1,
 		Prefetch:        c.Prefetch,
 		ResultFlush:     c.ResultFlush,
-		FlushInterval:   c.FlushInterval,
 		HeartbeatPeriod: c.HeartbeatPeriod,
 	}
 }

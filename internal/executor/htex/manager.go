@@ -24,10 +24,10 @@ type ManagerConfig struct {
 	// "configurable batching and prefetching of tasks to minimize
 	// communication overheads").
 	Prefetch int
-	// ResultFlush batches results until this many accumulate or
-	// FlushInterval passes.
-	ResultFlush   int
-	FlushInterval time.Duration
+	// ResultFlush is the most results one RESULTS frame carries. An idle
+	// manager sends each result as soon as it is ready; a busy one batches
+	// whatever piled up while its previous frame was being sent.
+	ResultFlush int
 	// HeartbeatPeriod is how often the manager pings the interchange; if
 	// the interchange stays silent for 5 periods the manager exits
 	// ("managers, upon losing contact with the interchange, exit
@@ -47,9 +47,6 @@ func (c ManagerConfig) Validate() error {
 	if c.ResultFlush < 0 {
 		return fmt.Errorf("htex: manager ResultFlush %d is negative", c.ResultFlush)
 	}
-	if c.FlushInterval < 0 {
-		return fmt.Errorf("htex: manager FlushInterval %v is negative", c.FlushInterval)
-	}
 	if c.HeartbeatPeriod < 0 {
 		return fmt.Errorf("htex: manager HeartbeatPeriod %v is negative", c.HeartbeatPeriod)
 	}
@@ -65,9 +62,6 @@ func (c *ManagerConfig) normalize() {
 	}
 	if c.ResultFlush <= 0 {
 		c.ResultFlush = 16
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = 5 * time.Millisecond
 	}
 	if c.HeartbeatPeriod <= 0 {
 		c.HeartbeatPeriod = 200 * time.Millisecond
@@ -301,38 +295,32 @@ func (m *Manager) worker(i int) {
 	}
 }
 
-// resultLoop aggregates results and sends them in batches (§4.3.1: "results
-// are aggregated from workers and sent to the interchange in batches").
+// resultLoop sends results in batches (§4.3.1: "results are aggregated from
+// workers and sent to the interchange in batches"): each frame carries the
+// result that woke the loop plus every result already waiting, up to
+// ResultFlush. No timer holds a result back, so an idle manager answers at
+// once. There is nothing to flush on exit: Stop closes the dealer.
 func (m *Manager) resultLoop() {
 	defer m.wg.Done()
-	var batch []serialize.ResultMsg
-	timer := time.NewTimer(m.cfg.FlushInterval)
-	defer timer.Stop()
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		_ = m.link.send(frameResults, batch)
-		// The gob encode above copied the batch into the link's frame
-		// buffer synchronously (and the stream encoder reuses that buffer
-		// across frames), so the slice can be reused in place: result
-		// batching allocates once per manager, not once per flush.
-		batch = batch[:0]
-	}
+	// link.send encodes the batch synchronously, so the slice is reused.
+	batch := make([]serialize.ResultMsg, 0, m.cfg.ResultFlush)
 	for {
 		select {
 		case <-m.done:
-			flush()
 			return
 		case r := <-m.results:
-			batch = append(batch, r)
-			if len(batch) >= m.cfg.ResultFlush {
-				flush()
-			}
-		case <-timer.C:
-			flush()
-			timer.Reset(m.cfg.FlushInterval)
+			batch = append(batch[:0], r)
 		}
+	fill:
+		for len(batch) < m.cfg.ResultFlush {
+			select {
+			case r := <-m.results:
+				batch = append(batch, r)
+			default:
+				break fill
+			}
+		}
+		_ = m.link.send(frameResults, batch)
 	}
 }
 

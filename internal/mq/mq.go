@@ -29,30 +29,21 @@ var ErrClosed = errors.New("mq: socket closed")
 // Message is a multipart message, mirroring ZeroMQ frames.
 type Message [][]byte
 
-// writeFrame writes one multipart message: u32 part count, then u32
+// appendFrame appends one multipart message to dst: u32 part count, then u32
 // length-prefixed parts.
-func writeFrame(w io.Writer, m Message) error {
+func appendFrame(dst []byte, m Message) ([]byte, error) {
 	if len(m) > MaxParts {
-		return fmt.Errorf("mq: %d parts exceeds limit", len(m))
+		return dst, fmt.Errorf("mq: %d parts exceeds limit", len(m))
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(m)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m)))
 	for _, part := range m {
 		if len(part) > MaxPartSize {
-			return fmt.Errorf("mq: part of %d bytes exceeds limit", len(part))
+			return dst, fmt.Errorf("mq: part of %d bytes exceeds limit", len(part))
 		}
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(part)))
-		if _, err := w.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(part); err != nil {
-			return err
-		}
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(part)))
+		dst = append(dst, part...)
 	}
-	return nil
+	return dst, nil
 }
 
 // readFrame reads one multipart message.
@@ -88,6 +79,9 @@ func readFrame(r io.Reader) (Message, error) {
 type Conn struct {
 	raw net.Conn
 	wmu sync.Mutex
+	// wbuf is the frame being sent, reused under wmu: one Write per message
+	// (one TCP_NODELAY segment, one simnet packet).
+	wbuf []byte
 
 	closeOnce sync.Once
 	closeErr  error
@@ -100,7 +94,13 @@ func NewConn(raw net.Conn) *Conn { return &Conn{raw: raw} }
 func (c *Conn) Send(m Message) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return writeFrame(c.raw, m)
+	frame, err := appendFrame(c.wbuf[:0], m)
+	if err != nil {
+		return err
+	}
+	c.wbuf = frame
+	_, err = c.raw.Write(frame)
+	return err
 }
 
 // Recv reads one multipart message.

@@ -3,6 +3,7 @@ package mq
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -14,12 +15,12 @@ import (
 func newNet() *simnet.Network { return simnet.NewNetwork(0) }
 
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
 	in := Message{[]byte("a"), []byte(""), []byte("longer part here")}
-	if err := writeFrame(&buf, in); err != nil {
+	frame, err := appendFrame(nil, in)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := readFrame(&buf)
+	out, err := readFrame(bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,11 +30,11 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameEmptyMessage(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, Message{}); err != nil {
+	frame, err := appendFrame(nil, Message{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := readFrame(&buf)
+	out, err := readFrame(bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +48,43 @@ func TestFrameRejectsOversizedClaims(t *testing.T) {
 	buf := bytes.NewReader([]byte{0x80, 0, 0, 0})
 	if _, err := readFrame(buf); err == nil {
 		t.Fatal("oversized part count accepted")
+	}
+}
+
+// writeCounter is a net.Conn that records each Write it receives.
+type writeCounter struct {
+	net.Conn
+	writes [][]byte
+}
+
+func (w *writeCounter) Write(b []byte) (int, error) {
+	w.writes = append(w.writes, bytes.Clone(b))
+	return len(b), nil
+}
+
+func TestSendIsOneWritePerMessage(t *testing.T) {
+	w := &writeCounter{}
+	c := NewConn(w)
+	msgs := []Message{{[]byte("RESULTS"), []byte("payload")}, {[]byte("HB")}, {}}
+	for _, m := range msgs {
+		if err := c.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(w.writes) != len(msgs) {
+		t.Fatalf("%d messages took %d writes", len(msgs), len(w.writes))
+	}
+	// The reused buffer must not leak one frame's bytes into the next.
+	for i, m := range msgs {
+		out, err := readFrame(bytes.NewReader(w.writes[i]))
+		if err != nil || len(out) != len(m) {
+			t.Fatalf("write %d decodes to %v, %v", i, out, err)
+		}
+		for j := range m {
+			if !bytes.Equal(out[j], m[j]) {
+				t.Fatalf("write %d part %d = %q, want %q", i, j, out[j], m[j])
+			}
+		}
 	}
 }
 
@@ -280,11 +318,11 @@ func TestQuickFrameRoundTrip(t *testing.T) {
 		if len(parts) > 64 {
 			parts = parts[:64]
 		}
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, Message(parts)); err != nil {
+		frame, err := appendFrame(nil, Message(parts))
+		if err != nil {
 			return false
 		}
-		out, err := readFrame(&buf)
+		out, err := readFrame(bytes.NewReader(frame))
 		if err != nil {
 			return false
 		}

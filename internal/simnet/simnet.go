@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -238,6 +239,9 @@ func (c *conn) Read(b []byte) (int, error) {
 	if len(c.leftover) > 0 {
 		n := copy(b, c.leftover)
 		c.leftover = c.leftover[n:]
+		if len(c.leftover) == 0 {
+			c.leftover = nil // do not pin a drained packet
+		}
 		c.mu.Unlock()
 		return n, nil
 	}
@@ -259,14 +263,12 @@ func (c *conn) Read(b []byte) (int, error) {
 	}
 
 	deliver := func(p packet) (int, error) {
-		// Model the wire delay: bytes are not visible before p.at.
-		if wait := time.Until(p.at); wait > 0 {
-			time.Sleep(wait)
-		}
+		waitUntil(p.at) // bytes are not visible before p.at
 		n := copy(b, p.data)
 		if n < len(p.data) {
+			// p.data is private to this connection (Write copied it).
 			c.mu.Lock()
-			c.leftover = append(c.leftover, p.data[n:]...)
+			c.leftover = p.data[n:]
 			c.mu.Unlock()
 		}
 		return n, nil
@@ -286,6 +288,18 @@ func (c *conn) Read(b []byte) (int, error) {
 		}
 	case <-deadlineCh:
 		return 0, timeoutError{}
+	}
+}
+
+// waitUntil returns once at has passed. It sleeps through all but the last
+// millisecond, a timer's worst-case lateness, and yields through the rest: a
+// timer alone would stretch a 35 µs Midway leg to a millisecond.
+func waitUntil(at time.Time) {
+	if wait := time.Until(at) - time.Millisecond; wait > 0 {
+		time.Sleep(wait)
+	}
+	for time.Now().Before(at) {
+		runtime.Gosched()
 	}
 }
 

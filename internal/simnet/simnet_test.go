@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -213,23 +214,76 @@ func TestPartialReadsLeftover(t *testing.T) {
 		c, err := l.Accept()
 		if err == nil {
 			_, _ = c.Write([]byte("abcdef"))
+			_, _ = c.Write([]byte("gh"))
 		}
 	}()
 	c, err := n.Dial("x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	small := make([]byte, 2)
-	var got []byte
-	for len(got) < 6 {
+	// A 4-byte buffer splits the first packet; the rest is served before
+	// the second packet, and never merged with it.
+	small := make([]byte, 4)
+	var reads []string
+	for _, want := range []string{"abcd", "ef", "gh"} {
 		nr, err := c.Read(small)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, small[:nr]...)
+		reads = append(reads, string(small[:nr]))
+		if reads[len(reads)-1] != want {
+			t.Fatalf("reads %q, want %q last", reads, want)
+		}
 	}
-	if string(got) != "abcdef" {
-		t.Fatalf("got %q", got)
+	if left := c.(*conn).leftover; left != nil {
+		t.Fatalf("drained leftover still pins %d bytes (cap %d)", len(left), cap(left))
+	}
+}
+
+// TestMidwayRoundTripNearModel pins the delivery model's accuracy: a
+// ping-pong on Midway() costs about its modelled 70 µs RTT, not the
+// millisecond a timer rounds each leg up to. No round trip beats the RTT.
+func TestMidwayRoundTripNearModel(t *testing.T) {
+	n := Midway()
+	l, _ := n.Listen("midway")
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		buf := make([]byte, 1)
+		for {
+			if _, err := c.Read(buf); err != nil {
+				return
+			}
+			if _, err := c.Write(buf); err != nil {
+				return
+			}
+		}
+	}()
+	c, err := n.Dial("midway")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rtts := make([]time.Duration, 200)
+	buf := make([]byte, 1)
+	for i := range rtts {
+		start := time.Now()
+		if _, err := c.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Read(buf); err != nil {
+			t.Fatal(err)
+		}
+		rtts[i] = time.Since(start)
+	}
+	slices.Sort(rtts)
+	if rtts[0] < n.RTT {
+		t.Fatalf("fastest round trip %v beats the RTT %v", rtts[0], n.RTT)
+	}
+	if median := rtts[len(rtts)/2]; median >= 10*n.RTT {
+		t.Fatalf("median round trip %v ≥ 10× the RTT %v", median, n.RTT)
 	}
 }
 
