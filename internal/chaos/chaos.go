@@ -405,9 +405,8 @@ func Active() *Injector { return active.Load() }
 // Frame is the wire-leg fault point: product code routes a frame send
 // through it. Disabled, it calls send(frame) directly. Enabled, the point's
 // schedule may drop the frame (reporting success — the transport "lost" it),
-// delay it (holding the caller, which on stream legs preserves frame order
-// because the stream encoder lock is held), duplicate it, flip one byte of
-// the body, or truncate it. Corrupt/truncated frames are sent as copies; the
+// delay it (holding the calling goroutine, whose later frames wait behind
+// it), duplicate it, flip one byte of the body, or truncate it. Corrupt/truncated frames are sent as copies; the
 // caller's buffer is never mutated. The detail string names the leg's
 // endpoint identity — the interchange-shard label ("htex[2]") or manager id —
 // so a Match-scoped rule addresses one shard's wire legs while the others
@@ -432,10 +431,9 @@ func Frame(p Point, detail string, frame []byte, send func(frame []byte) error) 
 	case ActCorrupt:
 		cp := append([]byte(nil), frame...)
 		// Flip one deterministic byte in the frame's second half: headers
-		// sit at the front, so the receiver sees a valid tag and epoch on a
-		// frame whose payload is garbage — the hard case, which only a body
-		// checksum can catch (header corruption is caught by trivial tag and
-		// length checks).
+		// sit at the front, so the receiver sees a valid kind and count on
+		// a frame whose body is garbage — the hard case, which only the
+		// frame checksum can catch.
 		if n := len(cp); n > 0 {
 			i := n/2 + int(uint64(hit)%uint64(n-n/2))
 			cp[i] ^= 0xA5

@@ -8,9 +8,11 @@
 //
 // Rank 0 is not a second implementation of the manager protocol: it is an
 // ordinary htex manager agent (htex.StartAgent) — registration, prefetch,
-// result batching, heartbeats, cancellation, clean drain and the stream
-// NACK resync all come from there — whose worker i hands each task to MPI
-// rank i+1 and blocks for its result instead of running the kernel itself.
+// result batching, heartbeats, cancellation, clean drain and the NACK
+// repair all come from there — whose worker i hands each task to MPI rank
+// i+1 and blocks for its result instead of running the kernel itself. Tasks
+// and results cross the MPI fabric in the same stateless frames as every
+// other leg (serialize.AppendTasks/AppendResults).
 //
 // The cost is MPI's fault model: a single rank failure aborts the entire
 // pool. The aborted communicator stops the agent, its connection drops, and
@@ -114,28 +116,23 @@ func (p *Pool) Executed() int64 { return p.agent.Executed() }
 func (p *Pool) Comm() *mpi.Comm { return p.comm }
 
 // run is the agent's Runner: worker i owns rank i+1, so it sends the task
-// there and blocks for that rank's result. The MPI interior uses one-shot
-// envelopes (every rank must decode standalone), and the argument payload
-// inside is the submit-time encoding, forwarded byte-for-byte — rank 0 never
-// re-serializes arguments. An aborted communicator stops the agent.
+// there and blocks for that rank's result. The argument payload inside the
+// task frame is the submit-time encoding, forwarded byte-for-byte — rank 0
+// never re-serializes arguments. An aborted communicator stops the agent.
 func (p *Pool) run(worker int, w serialize.WireTask) (serialize.ResultMsg, error) {
 	rank := worker + 1
-	payload, err := serialize.EncodeWire(w)
-	if err != nil {
-		return serialize.ResultMsg{ID: w.ID, Err: err.Error()}, nil
-	}
-	if err := p.comm.Send(0, rank, tagTask, payload); err != nil {
+	if err := p.comm.Send(0, rank, tagTask, serialize.AppendTasks(nil, []serialize.WireTask{w})); err != nil {
 		return serialize.ResultMsg{}, err
 	}
 	env, err := p.comm.Recv(0, rank, tagResult)
 	if err != nil {
 		return serialize.ResultMsg{}, err
 	}
-	res, err := serialize.DecodeResult(env.Data)
-	if err != nil {
-		return serialize.ResultMsg{ID: w.ID, Err: err.Error()}, nil
+	res, err := serialize.ParseResults(env.Data)
+	if err != nil || len(res) != 1 {
+		return serialize.ResultMsg{ID: w.ID, Err: fmt.Sprintf("exex: rank %d result: %v", rank, err)}, nil
 	}
-	return res, nil
+	return res[0], nil
 }
 
 // workerRank is the code running on MPI ranks 1..n-1: receive a task over
@@ -150,15 +147,13 @@ func (p *Pool) workerRank(rank int) {
 			return
 		}
 		var res serialize.ResultMsg
-		if w, err := serialize.DecodeWire(env.Data); err != nil {
-			res = serialize.ResultMsg{WorkerID: workerID, Err: err.Error()}
+		if ws, err := serialize.ParseTasks(env.Data); err != nil || len(ws) != 1 {
+			res = serialize.ResultMsg{WorkerID: workerID, Err: fmt.Sprintf("exex: rank %d task: %v", rank, err)}
 		} else {
-			res = executor.RunWire(p.reg, w, workerID)
+			res = executor.RunWire(p.reg, ws[0], workerID)
 		}
-		payload, err := serialize.EncodeResult(res)
-		if err != nil {
-			payload, _ = serialize.EncodeResult(serialize.ResultMsg{ID: res.ID, WorkerID: workerID, Err: err.Error()})
-		}
+		// An unencodable result value travels as this result's error.
+		payload := serialize.AppendResults(nil, []serialize.ResultMsg{res})
 		if err := p.comm.Send(rank, 0, tagResult, payload); err != nil {
 			p.agent.Stop()
 			return

@@ -233,11 +233,9 @@ func htexInterchangeCfg() htex.InterchangeConfig {
 }
 
 // TestStreamCorruptionRecovery corrupts both of the pool's manager-protocol
-// stream legs — the interchange's TASKS stream in, the pool's RESULTS
-// stream out — and asserts the NACK resync protocol recovers exactly as it
-// does for htex managers: every task completes, nothing wedges. (Before the
-// pool implemented the NACK contract, one corrupted frame on either leg
-// permanently wedged the pool's stream.)
+// legs — the interchange's TASKS frames in, the pool's RESULTS frames out —
+// and asserts the per-leg repair (NACK and requeue) recovers exactly as it
+// does for htex managers: every task completes, nothing wedges.
 func TestStreamCorruptionRecovery(t *testing.T) {
 	inj := chaos.New(29, chaos.Plan{
 		{Point: chaos.PointIxTasks, Act: chaos.ActCorrupt, Prob: 0.3},

@@ -40,7 +40,7 @@ type Config struct {
 	// consistent hash (tenant-affine; see ShardMap), fans each submitted
 	// batch across the owning shards, and reconciles results, LOST, and
 	// CANCEL traffic from all of them. Each shard preserves every
-	// single-broker invariant — per-shard queues, heartbeats, NACK resync —
+	// single-broker invariant — per-shard queues, heartbeats, NACK repair —
 	// and a shard death requeues only that shard's outstanding set while the
 	// others keep draining.
 	Shards int
@@ -51,15 +51,14 @@ type Config struct {
 }
 
 // shardConn is one shard's live connection state: the broker, the dealer
-// connection, and the stream link over it (TASKB out, RESULTS in — gob type
-// descriptors cross each wire once per session, not per batch). It sits
+// connection, and the link over it (TASKB out, RESULTS in). It sits
 // behind an atomic pointer on shardHandle so RestoreShard can swap a respawned
 // broker in without racing the receive loop, the senders, or monitoring
 // probes still holding the previous connection.
 type shardConn struct {
 	ix     *Interchange
 	dealer *mq.Dealer
-	link   *link
+	link   link
 }
 
 // dialShard starts one interchange shard and connects the client to it.
@@ -84,14 +83,14 @@ func (e *Executor) dialShard(i int, label string) (*shardConn, error) {
 		_ = ix.Close()
 		return nil, fmt.Errorf("htex: client dial %s: %w", label, err)
 	}
-	return &shardConn{ix: ix, dealer: dealer, link: dealerLink(chaos.PointClientSend, label, dealer)}, nil
+	return &shardConn{ix: ix, dealer: dealer, link: link{point: chaos.PointClientSend, label: label, dealer: dealer}}, nil
 }
 
 // shardHandle is the client's handle to one interchange shard: the current
 // connection (swappable on restore), the command-reply channel, and the
 // shard's circuit breaker. Everything here is per-shard because the
-// invariants are per-shard: a NACK resyncs one shard's stream, a breaker
-// trips on one shard's sends, a death fails one shard's inflight.
+// invariants are per-shard: a NACK retransmits one shard's inflight, a
+// breaker trips on one shard's sends, a death fails one shard's inflight.
 type shardHandle struct {
 	idx   int
 	label string // "htex[0]" — the shard's chaos/breaker/LOST identity
@@ -325,12 +324,10 @@ func (e *Executor) recvLoop(s *shardHandle) {
 			if len(msg) < 2 {
 				continue
 			}
-			var results []serialize.ResultMsg
-			// An undecodable frame is NACKed so the shard resyncs on a fresh
-			// self-describing epoch. Tasks whose results rode the lost frame
-			// stay pending here and recover via the DFK's attempt timeout
-			// (codec.go).
-			if !c.link.recv(msg[1], &results) {
+			// Tasks whose results rode an undecodable frame stay pending
+			// here and recover via the DFK's attempt timeout (codec.go).
+			results, err := serialize.ParseResults(msg[1])
+			if err != nil {
 				continue
 			}
 			for _, r := range results {
@@ -340,7 +337,7 @@ func (e *Executor) recvLoop(s *shardHandle) {
 			if len(msg) < 2 {
 				continue
 			}
-			ids, err := decodeIDs(msg[1])
+			ids, err := serialize.ParseIDs(msg[1])
 			if err != nil {
 				continue
 			}
@@ -361,9 +358,7 @@ func (e *Executor) recvLoop(s *shardHandle) {
 			default:
 			}
 		case frameNack:
-			if len(msg) >= 2 && c.link.nacked(msg[1]) {
-				e.retransmit(s, c)
-			}
+			e.retransmit(s, c)
 		}
 	}
 }
@@ -424,9 +419,9 @@ func (e *Executor) KillShard(i int) bool {
 }
 
 // RestoreShard respawns a dead shard: a fresh interchange, a fresh dealer
-// connection with fresh stream codecs, and the shard re-inserted into the
-// placement ring (ShardMap.Restore) so the hash arcs that spilled to ring
-// successors flow back home. The restored broker starts empty — managers
+// connection, and the shard re-inserted into the placement ring
+// (ShardMap.Restore) so the hash arcs that spilled to ring successors flow
+// back home. The restored broker starts empty — managers
 // reach it through the next ScaleOut, exactly as a respawned broker process
 // would in production — and the tasks the death path failed stay with their
 // retry plane. No-op when the shard is alive; error when the executor is
@@ -463,12 +458,11 @@ func (e *Executor) RestoreShard(i int) error {
 	return nil
 }
 
-// retransmit repairs one shard's task stream after the shard NACKed it and
-// the link reset to a fresh epoch: every task inflight on that shard is sent
-// again. The client cannot know which tasks the lost frame carried, so the
-// retransmission is a per-shard superset; tasks that were delivered run at
-// most twice, and the pending map completes each future exactly once
-// whichever copy's result arrives first.
+// retransmit repairs one undecodable TASKB frame after the shard NACKed it:
+// every task inflight on that shard is sent again. The client cannot know
+// which tasks the lost frame carried, so the retransmission is a per-shard
+// superset; tasks that were delivered run at most twice, and the pending map
+// completes each future exactly once whichever copy's result arrives first.
 func (e *Executor) retransmit(s *shardHandle, c *shardConn) {
 	e.mu.Lock()
 	msgs := make([]serialize.TaskMsg, 0, len(e.inflight))
@@ -503,11 +497,11 @@ func (e *Executor) retransmit(s *shardHandle, c *shardConn) {
 }
 
 // sendTasks frames one task batch onto connection c of shard s — pinned to
-// one connection because the NACK repair path must retransmit on exactly the
-// stream whose epoch it just reset, even if a restore swaps the connection
-// mid-repair — and records the outcome against the shard's breaker.
+// one connection so a NACK repair answers the broker that sent the NACK,
+// even if a restore swaps the connection mid-repair — and records the
+// outcome against the shard's breaker.
 func (e *Executor) sendTasks(s *shardHandle, c *shardConn, wires []serialize.WireTask) error {
-	err := c.link.send(frameTaskSub, wires)
+	err := c.link.sendTasks(frameTaskSub, wires)
 	s.breaker.Record(err == nil)
 	return err
 }
@@ -665,7 +659,7 @@ func (e *Executor) SubmitBatch(msgs []serialize.TaskMsg) []*future.Future {
 
 // fanOut partitions one wire batch by owning shard (submission order
 // preserved within each shard) and sends each partition on its shard's
-// stream. A failed send fails only that shard's partition — the other
+// connection. A failed send fails only that shard's partition — the other
 // shards' tasks are already safely queued or on their way.
 func (e *Executor) fanOut(wires []serialize.WireTask, wireShard []int) {
 	buckets := make([][]serialize.WireTask, len(e.shards))
@@ -680,8 +674,8 @@ func (e *Executor) fanOut(wires []serialize.WireTask, wireShard []int) {
 	}
 }
 
-// sendOrFail sends one batch on shard s's stream; when the send fails, every
-// task in it fails on that shard's account.
+// sendOrFail sends one batch on shard s's connection; when the send fails,
+// every task in it fails on that shard's account.
 func (e *Executor) sendOrFail(s *shardHandle, wires []serialize.WireTask) {
 	if err := e.sendTasks(s, s.conn.Load(), wires); err != nil {
 		for _, w := range wires {
@@ -713,16 +707,15 @@ func (e *Executor) Cancel(wireID int64) bool {
 	}
 	e.outstanding.Add(-1)
 	canceled := fut.Cancel()
-	if payload, err := encodeIDs([]int64{wireID}); err == nil {
-		if shard >= 0 && !e.shards[shard].down.Load() {
-			_ = e.shards[shard].conn.Load().dealer.Send(mq.Message{[]byte(frameCancel), payload})
-		} else {
-			// Unknown or dead owner: tell every live shard; the ones not
-			// holding the task ignore the unknown id.
-			for _, s := range e.shards {
-				if !s.down.Load() {
-					_ = s.conn.Load().dealer.Send(mq.Message{[]byte(frameCancel), payload})
-				}
+	payload := serialize.AppendIDs(nil, []int64{wireID})
+	if shard >= 0 && !e.shards[shard].down.Load() {
+		_ = e.shards[shard].conn.Load().dealer.Send(mq.Message{[]byte(frameCancel), payload})
+	} else {
+		// Unknown or dead owner: tell every live shard; the ones not
+		// holding the task ignore the unknown id.
+		for _, s := range e.shards {
+			if !s.down.Load() {
+				_ = s.conn.Load().dealer.Send(mq.Message{[]byte(frameCancel), payload})
 			}
 		}
 	}

@@ -25,7 +25,7 @@ func TestIdleRoundTripIsNotTimerBound(t *testing.T) {
 		return time.Since(start)
 	}
 	for i := int64(0); i < 10; i++ {
-		roundTrip(i) // warm the stream codecs and the goroutines
+		roundTrip(i) // warm the goroutines and frame buffers
 	}
 	rtts := make([]time.Duration, 100)
 	for i := range rtts {
@@ -68,7 +68,7 @@ func TestResultBurstRespectsResultFlush(t *testing.T) {
 	}
 	defer func() { mgr.Stop(); mgr.Wait() }()
 
-	l := routerLink(chaos.PointIxTasks, id, hub, id)
+	l := link{point: chaos.PointIxTasks, label: id, router: hub, peer: id}
 	next := func() mq.Message {
 		t.Helper()
 		select {
@@ -85,7 +85,7 @@ func TestResultBurstRespectsResultFlush(t *testing.T) {
 	for i := range batch {
 		batch[i] = serialize.WireTask{ID: int64(i + 1), App: "noop"}
 	}
-	if err := l.send(frameTasks, batch); err != nil {
+	if err := l.sendTasks(frameTasks, batch); err != nil {
 		t.Fatal(err)
 	}
 
@@ -96,9 +96,9 @@ func TestResultBurstRespectsResultFlush(t *testing.T) {
 		if string(msg[0]) != frameResults {
 			continue
 		}
-		var rs []serialize.ResultMsg
-		if !l.recv(msg[1], &rs) {
-			t.Fatal("undecodable RESULTS frame")
+		rs, err := serialize.ParseResults(msg[1])
+		if err != nil {
+			t.Fatalf("undecodable RESULTS frame: %v", err)
 		}
 		frames++
 		if len(rs) > flush {

@@ -2,6 +2,7 @@ package htex
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -111,6 +112,42 @@ func TestAppErrorPropagates(t *testing.T) {
 	if !errors.As(err, &re) {
 		t.Fatalf("err = %v", err)
 	}
+}
+
+// TestUnencodableResultSettles: results whose values cannot be encoded (an
+// unregistered struct, a channel) settle their tasks with an encode error
+// instead of vanishing with their whole RESULTS batch. A vanished batch would
+// leave the tasks outstanding at the interchange forever, holding the
+// manager's capacity, so the echo behind them would never be scheduled.
+func TestUnencodableResultSettles(t *testing.T) {
+	type opaque struct{ X int }
+	e := newHTEX(t, 1, 1, func(c *Config) {
+		must := func(err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		must(c.Registry.Register("opaque", func([]any, map[string]any) (any, error) { return opaque{X: 1}, nil }))
+		must(c.Registry.Register("chan", func([]any, map[string]any) (any, error) { return make(chan int), nil }))
+	})
+	for i, app := range []string{"opaque", "chan"} {
+		_, err := e.Submit(serialize.TaskMsg{ID: int64(i + 1), App: app}).ResultTimeout(5 * time.Second)
+		var re *executor.RemoteError
+		if !errors.As(err, &re) || !strings.Contains(re.Msg, "encode result") {
+			t.Fatalf("%s: err = %v, want a remote encode error", app, err)
+		}
+	}
+	if v, err := e.Submit(serialize.TaskMsg{ID: 3, App: "echo", Args: []any{"after"}}).ResultTimeout(5 * time.Second); err != nil || v != "after" {
+		t.Fatalf("echo after unencodable results: %v, %v", v, err)
+	}
+	waitCond(t, "interchange drained", func() bool {
+		for _, held := range e.Interchange().OutstandingByManager() {
+			if held != 0 {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 func TestParallelismUsesAllWorkers(t *testing.T) {

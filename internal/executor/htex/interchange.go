@@ -126,19 +126,7 @@ type Interchange struct {
 	// drains in plain priority-then-arrival order, exactly as before.
 	queue  *fair.Queue[serialize.WireTask]
 	client string // identity of the connected client, "" until it speaks
-	// clientEpoch is the last stream epoch observed on the client's TASKB
-	// stream; a change marks a new client session (see handle).
-	clientEpoch uint32
-	rrNext      int // round-robin cursor (SelectRoundRobin)
-	// links holds one stream link per connected peer, keyed by identity: a
-	// manager's carries its private TASKS stream out and RESULTS stream in;
-	// the client's carries TASKB in and the RESULTS relay out. Result batches
-	// from managers are decoded (the interchange needs the ids for capacity
-	// bookkeeping anyway) and re-framed on the client's link, so the client
-	// holds exactly one result stream however many managers feed it.
-	// Decoding happens only on the mainLoop goroutine; the map is locked
-	// because the heartbeat goroutine prunes entries for lost managers.
-	links map[string]*link
+	rrNext int    // round-robin cursor (SelectRoundRobin)
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -162,7 +150,6 @@ func StartInterchange(tr simnet.Transport, addr string, cfg InterchangeConfig) (
 			return a.Priority > b.Priority
 		}),
 		managers: make(map[string]*managerState),
-		links:    make(map[string]*link),
 		done:     make(chan struct{}),
 	}
 	ix.wg.Add(2)
@@ -216,27 +203,10 @@ func (ix *Interchange) handle(del mq.Delivery) {
 		if len(del.Msg) < 2 {
 			return
 		}
-		l := ix.linkFor(del.From, chaos.PointIxResults)
-		// A new epoch on the client's task stream is the in-band signal of
-		// a new client session (epochs are globally unique per encoder
-		// incarnation): restart the RESULTS stream so the newcomer's
-		// decoder syncs on a self-describing first frame. In-band, because
-		// connection events ride a lossy channel with no ordering against
-		// deliveries. The task decoder itself needs no such help — it
-		// resyncs on the epoch carried by every frame.
-		if epoch, ok := serialize.PeekFrameEpoch(del.Msg[1]); ok {
-			ix.mu.Lock()
-			newSession := epoch != ix.clientEpoch
-			ix.clientEpoch = epoch
-			ix.mu.Unlock()
-			if newSession {
-				l.enc.Reset()
-			}
-		}
-		var batch []serialize.WireTask
-		// An undecodable frame is NACKed: the client resets to a fresh epoch
-		// and retransmits its in-flight tasks (codec.go).
-		if !l.recv(del.Msg[1], &batch) {
+		batch, err := serialize.ParseTasks(del.Msg[1])
+		if err != nil {
+			// The client retransmits its in-flight tasks (codec.go).
+			ix.link(del.From, chaos.PointIxResults).nack()
 			return
 		}
 		ix.enqueue(batch...)
@@ -256,36 +226,35 @@ func (ix *Interchange) handle(del mq.Delivery) {
 			outstanding: make(map[int64]serialize.WireTask),
 			lastSeen:    time.Now(),
 		}
-		ix.links[del.From] = routerLink(chaos.PointIxTasks, ix.cfg.Label, ix.router, del.From)
 		ix.mu.Unlock()
 		ix.dispatch()
 	case frameResults:
 		if len(del.Msg) < 2 {
 			return
 		}
-		var results []serialize.ResultMsg
-		if !ix.linkFor(del.From, chaos.PointIxTasks).recv(del.Msg[1], &results) {
-			// Undecodable manager result stream: recv NACKed it so the
-			// manager resets its encoder; requeue everything this manager
-			// holds — the lost frame's results cannot be recovered, so their
-			// tasks must re-execute, and the broker must not leak their
-			// capacity slots. Tasks still running on the manager finish twice
-			// at most; the client's pending map reconciles duplicates
-			// (codec.go).
+		ids, err := serialize.ParseResultIDs(del.Msg[1])
+		if err != nil {
+			// The lost frame's results cannot be recovered, so requeue
+			// everything this manager holds: their tasks re-execute and the
+			// broker does not leak their capacity slots. Tasks still running
+			// on the manager finish twice at most; the client's pending map
+			// reconciles duplicates (codec.go).
 			ix.requeueOutstanding(del.From)
 			return
 		}
 		ix.mu.Lock()
 		if m, ok := ix.managers[del.From]; ok {
 			m.lastSeen = time.Now()
-			for _, r := range results {
-				delete(m.outstanding, r.ID)
+			for _, id := range ids {
+				delete(m.outstanding, id)
 			}
 		}
 		client := ix.client
 		ix.mu.Unlock()
 		if client != "" {
-			_ = ix.linkFor(client, chaos.PointIxResults).send(frameResults, results)
+			// Relay the frame as received; the values inside are never
+			// decoded here.
+			_ = ix.link(client, chaos.PointIxResults).send(frameResults, del.Msg[1])
 		}
 		ix.dispatch()
 	case frameHB:
@@ -311,7 +280,6 @@ func (ix *Interchange) handle(del mq.Delivery) {
 				ix.enqueue(t)
 			}
 			delete(ix.managers, del.From)
-			delete(ix.links, del.From)
 		}
 		ix.mu.Unlock()
 		// Hang up on the peer so its Drain can observe the ack.
@@ -321,7 +289,7 @@ func (ix *Interchange) handle(del mq.Delivery) {
 		if len(del.Msg) < 2 {
 			return
 		}
-		ids, err := decodeIDs(del.Msg[1])
+		ids, err := serialize.ParseIDs(del.Msg[1])
 		if err != nil {
 			return
 		}
@@ -330,24 +298,14 @@ func (ix *Interchange) handle(del mq.Delivery) {
 		ix.setClient(del.From)
 		ix.command(del)
 	case frameNack:
-		if len(del.Msg) < 2 {
-			return
-		}
-		ix.mu.Lock()
-		l := ix.links[del.From]
-		ix.mu.Unlock()
-		// A manager that cannot decode its TASKS stream lost tasks the
-		// interchange cannot name, so everything it holds is requeued. For
-		// the client the resync is the whole repair: results in the lost
-		// frame re-execute via the DFK's attempt timeout (codec.go).
-		if l != nil && l.nacked(del.Msg[1]) {
-			ix.requeueOutstanding(del.From)
-		}
+		// A manager could not decode a TASKS frame: it lost tasks the
+		// interchange cannot name, so everything it holds is requeued.
+		ix.requeueOutstanding(del.From)
 	}
 }
 
 // requeueOutstanding moves every task a manager holds back into the
-// interchange queue (stream-corruption repair; the clean-departure BYE path
+// interchange queue (frame-corruption repair; the clean-departure BYE path
 // does its own inline requeue under the lock). No-op for a peer that is not
 // a registered manager.
 func (ix *Interchange) requeueOutstanding(id string) {
@@ -368,27 +326,16 @@ func (ix *Interchange) requeueOutstanding(id string) {
 	ix.dispatch()
 }
 
-// setClient records the identity results are relayed to. Stream resync for
-// a new client session is detected in-band from the epoch on its TASKB
-// stream (see handle), since every client shares the same dealer identity.
+// setClient records the identity results are relayed to.
 func (ix *Interchange) setClient(from string) {
 	ix.mu.Lock()
 	ix.client = from
 	ix.mu.Unlock()
 }
 
-// linkFor returns the stream link for one peer, creating it on first contact
-// with point naming its outbound leg. Decoding is serialized on the mainLoop
-// goroutine; the lock only orders map access against lost-manager pruning.
-func (ix *Interchange) linkFor(id string, point chaos.Point) *link {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	l, ok := ix.links[id]
-	if !ok {
-		l = routerLink(point, ix.cfg.Label, ix.router, id)
-		ix.links[id] = l
-	}
-	return l
+// link addresses one peer, with point naming the outbound leg.
+func (ix *Interchange) link(id string, point chaos.Point) link {
+	return link{point: point, label: ix.cfg.Label, router: ix.router, peer: id}
 }
 
 // cancel drops the named tasks: entries still in the interchange queue are
@@ -415,9 +362,7 @@ func (ix *Interchange) cancel(ids []int64) {
 	}
 	ix.mu.Unlock()
 	for mgr, mgrIDs := range forward {
-		if payload, err := encodeIDs(mgrIDs); err == nil {
-			_ = ix.router.SendTo(mgr, mq.Message{[]byte(frameCancel), payload})
-		}
+		_ = ix.router.SendTo(mgr, mq.Message{[]byte(frameCancel), serialize.AppendIDs(nil, mgrIDs)})
 	}
 	ix.dispatch() // struck tasks freed manager capacity
 }
@@ -540,7 +485,6 @@ func (ix *Interchange) dispatch() {
 		// still never decodes arguments.
 		type send struct {
 			id    string
-			l     *link
 			batch []serialize.WireTask
 		}
 		var sends []send
@@ -574,21 +518,21 @@ func (ix *Interchange) dispatch() {
 			}
 			batch = kept
 			for h, ts := range reroutes {
-				sends = append(sends, send{id: h.id, l: ix.links[h.id], batch: ts})
+				sends = append(sends, send{id: h.id, batch: ts})
 			}
 		}
 		for _, t := range batch {
 			m.outstanding[t.ID] = t
 		}
 		if len(batch) > 0 {
-			sends = append(sends, send{id: m.id, l: ix.links[m.id], batch: batch})
+			sends = append(sends, send{id: m.id, batch: batch})
 		}
 		ix.mu.Unlock()
 
-		// Re-frame the envelopes on each target manager's stream; the
-		// argument payloads inside pass through as opaque bytes.
+		// Re-frame the envelopes for each target manager; the argument
+		// payloads inside pass through as opaque bytes.
 		for _, s := range sends {
-			if err := s.l.send(frameTasks, s.batch); err != nil {
+			if err := ix.link(s.id, chaos.PointIxTasks).sendTasks(frameTasks, s.batch); err != nil {
 				// Send failed: the manager is gone; requeue via loss path.
 				ix.managerLost(s.id, "send failed")
 			}
@@ -631,7 +575,6 @@ func (ix *Interchange) managerLost(id, reason string) {
 		return
 	}
 	delete(ix.managers, id)
-	delete(ix.links, id) // a reconnecting identity starts a fresh stream
 	var lostIDs []int64
 	for tid := range m.outstanding {
 		lostIDs = append(lostIDs, tid)
@@ -641,12 +584,10 @@ func (ix *Interchange) managerLost(id, reason string) {
 
 	ix.router.Disconnect(id)
 	if client != "" && len(lostIDs) > 0 {
-		if payload, err := encodeIDs(lostIDs); err == nil {
-			// Fourth part: the lost manager's identity, so the client-side
-			// LostError names which manager died — the health plane's poison
-			// quarantine counts distinct managers a task has killed.
-			_ = ix.router.SendTo(client, mq.Message{[]byte(frameLost), payload, []byte(reason), []byte(id)})
-		}
+		// Fourth part: the lost manager's identity, so the client-side
+		// LostError names which manager died — the health plane's poison
+		// quarantine counts distinct managers a task has killed.
+		_ = ix.router.SendTo(client, mq.Message{[]byte(frameLost), serialize.AppendIDs(nil, lostIDs), []byte(reason), []byte(id)})
 	}
 }
 

@@ -78,7 +78,7 @@ type Runner func(worker int, w serialize.WireTask) (serialize.ResultMsg, error)
 
 // Manager is the per-node pilot agent: it registers capacity with the
 // interchange, feeds a pool of worker goroutines that execute through its
-// Runner, streams result batches back, and polices the interchange's
+// Runner, sends result batches back, and polices the interchange's
 // heartbeat. Tasks arrive as wire envelopes; the argument payload — encoded
 // once at submit time on the client — is decoded only by whatever finally
 // executes the task.
@@ -87,9 +87,8 @@ type Manager struct {
 	cfg    ManagerConfig
 	run    Runner
 	dealer *mq.Dealer
-	// link consumes the interchange's per-manager TASKS stream and produces
-	// this manager's RESULTS stream.
-	link *link
+	// link carries this manager's RESULTS frames and NACKs.
+	link link
 
 	tasks   chan serialize.WireTask
 	results chan serialize.ResultMsg
@@ -149,7 +148,7 @@ func StartAgent(tr simnet.Transport, addr, id string, cfg ManagerConfig, run Run
 		cfg:      cfg,
 		run:      run,
 		dealer:   dealer,
-		link:     dealerLink(chaos.PointMgrResults, id, dealer),
+		link:     link{point: chaos.PointMgrResults, label: id, dealer: dealer},
 		tasks:    make(chan serialize.WireTask, cfg.Workers+cfg.Prefetch),
 		results:  make(chan serialize.ResultMsg, cfg.Workers+cfg.Prefetch),
 		done:     make(chan struct{}),
@@ -200,10 +199,13 @@ func (m *Manager) recvLoop() {
 		}
 		switch string(msg[0]) {
 		case frameTasks:
-			var batch []serialize.WireTask
-			// An undecodable frame is NACKed so the interchange resyncs this
-			// manager's stream and requeues what it was holding (codec.go).
-			if len(msg) < 2 || !m.link.recv(msg[1], &batch) {
+			if len(msg) < 2 {
+				continue
+			}
+			batch, err := serialize.ParseTasks(msg[1])
+			if err != nil {
+				// The interchange requeues what this manager holds (codec.go).
+				m.link.nack()
 				continue
 			}
 			for _, t := range batch {
@@ -221,7 +223,7 @@ func (m *Manager) recvLoop() {
 			if len(msg) < 2 {
 				continue
 			}
-			ids, err := decodeIDs(msg[1])
+			ids, err := serialize.ParseIDs(msg[1])
 			if err != nil {
 				continue
 			}
@@ -230,13 +232,6 @@ func (m *Manager) recvLoop() {
 				m.canceled[id] = struct{}{}
 			}
 			m.mu.Unlock()
-		case frameNack:
-			// The interchange cannot decode this manager's RESULTS stream. It
-			// requeued our outstanding set when it sent the NACK, so resyncing
-			// the stream is the whole repair (codec.go).
-			if len(msg) >= 2 {
-				m.link.nacked(msg[1])
-			}
 		}
 	}
 }
@@ -299,10 +294,13 @@ func (m *Manager) worker(i int) {
 // workers and sent to the interchange in batches"): each frame carries the
 // result that woke the loop plus every result already waiting, up to
 // ResultFlush. No timer holds a result back, so an idle manager answers at
-// once. There is nothing to flush on exit: Stop closes the dealer.
+// once. A result whose value cannot be encoded travels as that result's
+// error (serialize.AppendResults), so its task settles and the rest of the
+// batch is unaffected. There is nothing to flush on exit: Stop closes the
+// dealer.
 func (m *Manager) resultLoop() {
 	defer m.wg.Done()
-	// link.send encodes the batch synchronously, so the slice is reused.
+	// sendResults encodes the batch synchronously, so the slice is reused.
 	batch := make([]serialize.ResultMsg, 0, m.cfg.ResultFlush)
 	for {
 		select {
@@ -320,7 +318,7 @@ func (m *Manager) resultLoop() {
 				break fill
 			}
 		}
-		_ = m.link.send(frameResults, batch)
+		_ = m.link.sendResults(batch)
 	}
 }
 

@@ -84,13 +84,13 @@ func TestRoundRobinCyclesManagersEvenly(t *testing.T) {
 	waitCond(t, "3 managers", func() bool { return ix.ManagerCount() == 3 })
 
 	// A bare client dealer submits one-task TASKB frames straight to the
-	// interchange over a stream link, as the executor client does.
+	// interchange over a link, as the executor client does.
 	client, err := mq.DialDealer(tr, ix.Addr(), clientIdentity)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	l := dealerLink(chaos.PointClientSend, "sel", client)
+	l := link{point: chaos.PointClientSend, label: "sel", dealer: client}
 
 	const n = 12
 	for i := 0; i < n; i++ {
@@ -99,7 +99,7 @@ func TestRoundRobinCyclesManagersEvenly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := l.send(frameTaskSub, []serialize.WireTask{w}); err != nil {
+		if err := l.sendTasks(frameTaskSub, []serialize.WireTask{w}); err != nil {
 			t.Fatal(err)
 		}
 	}

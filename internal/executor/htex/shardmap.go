@@ -11,7 +11,7 @@ import (
 // lands on. Placement is consistent hashing over a virtual-node ring, so
 // shard death moves only the dead shard's keys (bounded key movement) and a
 // tenant's tasks stay together on one shard (tenant affinity) as long as the
-// membership holds. The shard core itself — queues, heartbeats, NACK resync —
+// membership holds. The shard core itself — queues, heartbeats, NACK repair —
 // is the unchanged Interchange; everything cross-shard lives here and in the
 // client's fan-out/reconcile paths.
 

@@ -184,6 +184,8 @@ func StartWorker(tr simnet.Transport, addr, id string, reg *serialize.Registry) 
 
 func (w *Worker) loop() {
 	defer w.wg.Done()
+	var results []serialize.ResultMsg
+	var frame []byte
 	for {
 		msg, err := w.dealer.Recv()
 		if err != nil {
@@ -192,16 +194,19 @@ func (w *Worker) loop() {
 		if len(msg) < 2 || string(msg[0]) != frameTask {
 			continue
 		}
-		task, err := serialize.DecodeTask(msg[1])
+		tasks, err := serialize.ParseTasks(msg[1])
 		if err != nil {
-			continue
+			continue // lost like a dropped frame; the client's timed retry covers it
 		}
-		res := executor.RunKernel(w.reg, task, w.id)
-		payload, err := serialize.EncodeResult(res)
-		if err != nil {
-			continue
+		results = results[:0]
+		for _, t := range tasks {
+			results = append(results, executor.RunWire(w.reg, t, w.id))
 		}
-		_ = w.dealer.Send(mq.Message{[]byte(frameResult), payload})
+		// An unencodable result value travels as that result's error, so
+		// the task settles even without timed retries. Send copies the
+		// frame, so its buffer is reused.
+		frame = serialize.AppendResults(frame[:0], results)
+		_ = w.dealer.Send(mq.Message{[]byte(frameResult), frame})
 	}
 }
 
@@ -324,27 +329,35 @@ func (e *Executor) recvLoop() {
 		if len(msg) < 2 || string(msg[0]) != frameResult {
 			continue
 		}
-		res, err := serialize.DecodeResult(msg[1])
+		results, err := serialize.ParseResults(msg[1])
 		if err != nil {
 			continue
 		}
-		e.mu.Lock()
-		pt, ok := e.pending[res.ID]
-		delete(e.pending, res.ID)
-		var timer *time.Timer
-		if ok {
-			timer = pt.timer
+		for _, res := range results {
+			e.complete(res)
 		}
-		e.mu.Unlock()
-		if !ok {
-			continue // duplicate result from a retransmitted task
-		}
-		if timer != nil {
-			timer.Stop()
-		}
-		e.outstanding.Add(-1)
-		executor.Complete(pt.fut, res)
 	}
+}
+
+// complete settles the pending task res answers; a duplicate result from a
+// retransmitted task finds nothing pending and is ignored.
+func (e *Executor) complete(res serialize.ResultMsg) {
+	e.mu.Lock()
+	pt, ok := e.pending[res.ID]
+	delete(e.pending, res.ID)
+	var timer *time.Timer
+	if ok {
+		timer = pt.timer
+	}
+	e.mu.Unlock()
+	if !ok {
+		return
+	}
+	if timer != nil {
+		timer.Stop()
+	}
+	e.outstanding.Add(-1)
+	executor.Complete(pt.fut, res)
 }
 
 // Submit implements executor.Executor: one hop to the relay, one to the
@@ -369,18 +382,17 @@ func (e *Executor) Submit(msg serialize.TaskMsg) *future.Future {
 	}
 	e.mu.Unlock()
 
-	// One-shot framing on purpose: the stateless relay fans a single
-	// client's frames out across workers round-robin, so no worker could
-	// follow a persistent client stream — every frame must be
-	// self-describing. The encode still reuses the submit-time argument
-	// payload when the dispatch pipeline attached one, and the encoded
-	// bytes are retained for retransmission, so retries cost no re-encode
-	// either.
-	payload, err := serialize.EncodeTask(msg)
+	// The stateless relay fans frames out across workers round-robin,
+	// which works because every frame decodes on its own. The frame reuses
+	// the submit-time argument payload when the dispatch pipeline attached
+	// one, and it is retained for retransmission, so retries cost no
+	// re-encode either.
+	w, err := msg.Wire()
 	if err != nil {
 		_ = fut.SetError(err)
 		return fut
 	}
+	payload := serialize.AppendTasks(nil, []serialize.WireTask{w})
 	pt := &pendingTask{fut: fut, payload: payload}
 	e.mu.Lock()
 	e.pending[msg.ID] = pt

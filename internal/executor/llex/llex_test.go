@@ -2,6 +2,7 @@ package llex
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -104,6 +105,26 @@ func TestAppError(t *testing.T) {
 	var re *executor.RemoteError
 	if !errors.As(err, &re) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestUnencodableResultSettles: with timed retries off, a result value that
+// cannot be encoded must still settle its task, as an encode error, rather
+// than leave it pending forever.
+func TestUnencodableResultSettles(t *testing.T) {
+	type opaque struct{ X int }
+	e := newLLEX(t, 1, func(c *Config) {
+		if err := c.Registry.Register("opaque", func([]any, map[string]any) (any, error) { return opaque{X: 1}, nil }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	_, err := e.Submit(serialize.TaskMsg{ID: 1, App: "opaque"}).ResultTimeout(5 * time.Second)
+	var re *executor.RemoteError
+	if !errors.As(err, &re) || !strings.Contains(re.Msg, "encode result") {
+		t.Fatalf("err = %v, want a remote encode error", err)
+	}
+	if e.Outstanding() != 0 {
+		t.Fatalf("outstanding = %d", e.Outstanding())
 	}
 }
 

@@ -37,7 +37,7 @@ const (
 	// ClassUnknown is any error the taxonomy cannot place.
 	ClassUnknown Class = iota
 	// ClassTransientWire is a frame-level fault (drop, corruption, NACK
-	// resync, injected submit failure): the executor is fine, the attempt
+	// repair, injected submit failure): the executor is fine, the attempt
 	// just never made it. Retries are cheap, uncharged, and sticky.
 	ClassTransientWire
 	// ClassExecutorLost is lost execution infrastructure (manager death,

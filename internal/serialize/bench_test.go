@@ -1,6 +1,8 @@
 package serialize
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"testing"
 )
@@ -20,6 +22,22 @@ func benchBatch(n int) ([]TaskMsg, [][]any, []map[string]any) {
 	return msgs, argLists, kwLists
 }
 
+// gobOneShot is the pre-frame wire encoding, kept here as the benchmark
+// baseline: every message a self-describing gob stream of its own.
+func gobOneShot(v any) []byte {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+func gobDecode(b []byte, v any) {
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(v); err != nil {
+		panic(err)
+	}
+}
+
 // BenchmarkSerializeRoundTrip measures the full serialization path of one
 // 64-task batch from submission to executable arguments on a worker,
 // including the memoization hash — everything the serialization layer does
@@ -28,36 +46,37 @@ func benchBatch(n int) ([]TaskMsg, [][]any, []map[string]any) {
 //	oneshot-baseline   the pre-encode-once pipeline, retained for
 //	                   comparison: per-argument hash encoders, a
 //	                   validation encode per task, then a self-describing
-//	                   one-shot encode/decode at each hop
+//	                   one-shot gob encode/decode at each hop
 //	                   (client → interchange → manager)
 //	encode-once-streaming   the encode-once pipeline: arguments encoded
 //	                   exactly once, hash taken over the cached bytes,
-//	                   envelopes re-framed hop to hop on persistent
-//	                   streams, arguments decoded once at the worker
+//	                   envelopes re-framed hop to hop in stateless wire
+//	                   frames, arguments decoded once at the worker
 //
-// The acceptance bar for this layer is streaming ≥ 2× faster ns/op than
+// The acceptance bar for this layer is encode-once ≥ 2× faster ns/op than
 // the baseline in the same run.
 func BenchmarkSerializeRoundTrip(b *testing.B) {
 	const batchSize = 64
 
 	b.Run("oneshot-baseline", func(b *testing.B) {
 		msgs, argLists, kwLists := benchBatch(batchSize)
-		oneShot := OneShotCodec{}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			// Submit side: memo hash (per-argument encoders) and the
-			// validation encode the old client performed per task.
+			// validation encode the old client performed per task, on a
+			// copy of the message.
 			for j := range msgs {
 				if _, err := ArgsHash(argLists[j], kwLists[j]); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := EncodeTask(msgs[j]); err != nil {
+				m := msgs[j]
+				w, err := m.Wire()
+				if err != nil {
 					b.Fatal(err)
 				}
+				_ = gobOneShot(w)
 			}
-			// Wire: client → interchange → manager, one self-describing
-			// frame per hop, full re-encode in between.
 			wires := make([]WireTask, len(msgs))
 			for j := range msgs {
 				w, err := msgs[j].Wire()
@@ -67,28 +86,11 @@ func BenchmarkSerializeRoundTrip(b *testing.B) {
 				wires[j] = w
 				msgs[j].payload = nil // the old path cached nothing
 			}
-			var hop1 []byte
-			if err := oneShot.EncodeFrame(wires, func(f []byte) error {
-				hop1 = append(hop1[:0], f...)
-				return nil
-			}); err != nil {
-				b.Fatal(err)
-			}
-			var atIx []WireTask
-			if err := NewStreamDecoder().DecodeFrame(hop1, &atIx); err != nil {
-				b.Fatal(err)
-			}
-			var hop2 []byte
-			if err := oneShot.EncodeFrame(atIx, func(f []byte) error {
-				hop2 = append(hop2[:0], f...)
-				return nil
-			}); err != nil {
-				b.Fatal(err)
-			}
-			var atMgr []WireTask
-			if err := NewStreamDecoder().DecodeFrame(hop2, &atMgr); err != nil {
-				b.Fatal(err)
-			}
+			// Wire: client → interchange → manager, one self-describing
+			// frame per hop, full re-encode in between.
+			var atIx, atMgr []WireTask
+			gobDecode(gobOneShot(wires), &atIx)
+			gobDecode(gobOneShot(atIx), &atMgr)
 			for j := range atMgr {
 				if _, err := atMgr[j].Task(); err != nil {
 					b.Fatal(err)
@@ -98,10 +100,7 @@ func BenchmarkSerializeRoundTrip(b *testing.B) {
 	})
 
 	b.Run("encode-once-streaming", func(b *testing.B) {
-		clientEnc := NewStreamEncoder()
-		ixDec := NewStreamDecoder()
-		ixEnc := NewStreamEncoder()
-		mgrDec := NewStreamDecoder()
+		var hop1, hop2 []byte
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -121,28 +120,16 @@ func BenchmarkSerializeRoundTrip(b *testing.B) {
 				}
 				wires[j] = w
 			}
-			// Wire: same two hops, but envelopes ride persistent streams
-			// and the argument bytes pass through untouched.
-			var hop1 []byte
-			if err := clientEnc.EncodeFrame(wires, func(f []byte) error {
-				hop1 = append(hop1[:0], f...)
-				return nil
-			}); err != nil {
+			// Wire: same two hops, but the envelopes ride wire frames and
+			// the argument bytes pass through untouched.
+			hop1 = AppendTasks(hop1[:0], wires)
+			atIx, err := ParseTasks(hop1)
+			if err != nil {
 				b.Fatal(err)
 			}
-			var atIx []WireTask
-			if err := ixDec.DecodeFrame(hop1, &atIx); err != nil {
-				b.Fatal(err)
-			}
-			var hop2 []byte
-			if err := ixEnc.EncodeFrame(atIx, func(f []byte) error {
-				hop2 = append(hop2[:0], f...)
-				return nil
-			}); err != nil {
-				b.Fatal(err)
-			}
-			var atMgr []WireTask
-			if err := mgrDec.DecodeFrame(hop2, &atMgr); err != nil {
+			hop2 = AppendTasks(hop2[:0], atIx)
+			atMgr, err := ParseTasks(hop2)
+			if err != nil {
 				b.Fatal(err)
 			}
 			for j := range atMgr {
@@ -212,28 +199,45 @@ func BenchmarkDeepCopy(b *testing.B) {
 	})
 }
 
-// BenchmarkStreamFrame isolates the codec itself on a result batch: a
-// persistent stream versus a self-describing frame per message.
-func BenchmarkStreamFrame(b *testing.B) {
-	batch := make([]ResultMsg, 16)
-	for i := range batch {
-		batch[i] = ResultMsg{ID: int64(i), Value: i * 3, WorkerID: "w0"}
+// BenchmarkWireFrame isolates the frame codec: one 16-element batch of each
+// frame kind, encoded into a reused buffer and parsed back.
+func BenchmarkWireFrame(b *testing.B) {
+	tasks := make([]WireTask, 16)
+	results := make([]ResultMsg, 16)
+	ids := make([]int64, 16)
+	for i := range tasks {
+		p, err := EncodeArgs([]any{i, "input"}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tasks[i] = WireTask{ID: int64(i), App: "bench-app", P: p.Bytes()}
+		results[i] = ResultMsg{ID: int64(i), Value: i * 3, WorkerID: "w0"}
+		ids[i] = int64(i)
 	}
-	sink := func([]byte) error { return nil }
-	b.Run("streaming", func(b *testing.B) {
-		enc := NewStreamEncoder()
+	var buf []byte
+	b.Run("tasks", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := enc.EncodeFrame(batch, sink); err != nil {
+			buf = AppendTasks(buf[:0], tasks)
+			if _, err := ParseTasks(buf); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("oneshot", func(b *testing.B) {
-		enc := OneShotCodec{}
+	b.Run("results", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := enc.EncodeFrame(batch, sink); err != nil {
+			buf = AppendResults(buf[:0], results)
+			if _, err := ParseResults(buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("ids", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf = AppendIDs(buf[:0], ids)
+			if _, err := ParseIDs(buf); err != nil {
 				b.Fatal(err)
 			}
 		}

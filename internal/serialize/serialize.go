@@ -31,20 +31,16 @@
 // descriptor-parsing cost per independent stream that cannot be amortized
 // for a payload decoded exactly once, by one worker.
 //
-// # Wire-format compatibility
+// # Wire frames
 //
-// The one-shot framing (EncodeTask/DecodeTask, EncodeResult/DecodeResult) is
-// a self-describing gob message: any peer can decode any message in
-// isolation, which is what the LLEX relay (it fans a single client's
-// frames out across workers) and the MPI interior of EXEX pools require.
-// Point-to-point sessions (HTEX client ↔ interchange ↔ manager) instead run
-// persistent streaming codecs (StreamEncoder/StreamDecoder in stream.go)
-// that amortize gob type-descriptor transmission across the connection; each
-// frame carries an epoch so a peer that reconnects mid-session resyncs on
-// the sender's next stream, and self-describing one-shot frames remain the
-// fallback (OneShotCodec) when no session state can be assumed. The two
-// framings are tagged and a StreamDecoder accepts both, so mixed traffic on
-// one connection stays decodable.
+// Every task batch, result batch and id list between executor components
+// travels as one stateless frame (frame.go): a CRC-32C, then a body in the
+// value codec's primitives. AppendTasks/ParseTasks, AppendResults/
+// ParseResults and AppendIDs/ParseIDs are the pairs; the argument payload
+// rides a task frame as raw bytes and is never re-encoded by a broker. No
+// frame depends on an earlier one, so HTEX, LLEX and the EXEX MPI interior
+// share one format, any peer can decode any frame in isolation, and a
+// corrupted frame loses only itself.
 //
 // Hash stability: ArgsHash digests (and payload digests, via the pinned
 // value-codec byte format plus primed gob descriptor ids) are stable across
@@ -180,8 +176,8 @@ type TaskMsg struct {
 	Weight   int
 
 	// payload is the encode-once serialization of Args/Kwargs, attached by
-	// the dispatch pipeline at launch. Unexported so it never rides the gob
-	// wire itself — WireTask carries its bytes instead.
+	// the dispatch pipeline at launch. WireTask carries its bytes on the
+	// wire.
 	payload *Payload
 }
 
@@ -208,7 +204,7 @@ func (m *TaskMsg) ArgsPayload() (*Payload, error) {
 }
 
 // ResultMsg carries a task result back from a worker. Err is a string because
-// error values do not gob-encode portably; the empty string means success.
+// error values do not encode portably; the empty string means success.
 type ResultMsg struct {
 	ID       int64
 	Value    any
@@ -245,6 +241,9 @@ func init() {
 		[]any{}, map[string]any{}, map[string]string{},
 		[]string{}, []int{}, []float64{}, []byte{},
 		time0{},
+		// No longer sent through gob, but kept: removing them would shift
+		// the descriptor ids of every RegisterType'd user type after them,
+		// and with them the payload bytes behind persisted memo keys.
 		WireTask{}, ResultMsg{},
 	)
 }
@@ -274,9 +273,8 @@ func RegisterType(v any) {
 	primeGob(v)
 }
 
-// bufPool recycles gob scratch buffers: one-shot frames, wire envelopes,
-// and the value codec's gob-fallback encodes borrow from here instead of
-// growing a fresh bytes.Buffer. (Encode-once payloads do not: a Payload
+// bufPool recycles gob scratch buffers: the value codec's gob-fallback
+// encodes borrow from here instead of growing a fresh bytes.Buffer. (Encode-once payloads do not: a Payload
 // owns its bytes for the task's lifetime, so there is nothing to return to
 // a pool.)
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
@@ -517,7 +515,7 @@ func DecodeArgsBytes(b []byte) ([]any, map[string]any, error) {
 // WireTask is the on-the-wire form of a task: the routing envelope (id, app,
 // priority, tenant) plus the encode-once argument payload as raw bytes.
 // Brokers (the HTEX interchange) queue, prioritize, fair-share, cancel, and
-// re-frame WireTasks without ever decoding — or re-encoding — the argument
+// re-frame WireTasks (AppendTasks) without ever decoding — or re-encoding — the argument
 // bytes; only the worker that executes the task pays the argument decode.
 type WireTask struct {
 	ID       int64
@@ -555,68 +553,6 @@ func (w WireTask) Task() (TaskMsg, error) {
 		Tenant: w.Tenant, Weight: w.Weight,
 		Args: args, Kwargs: kwargs, payload: p,
 	}, nil
-}
-
-// EncodeWire produces the one-shot envelope bytes for w; the argument
-// payload inside passes through as an opaque byte column (gob encodes
-// []byte as length plus raw copy — no structural re-encode).
-func EncodeWire(w WireTask) ([]byte, error) {
-	buf := getBuf()
-	defer putBuf(buf)
-	if err := gob.NewEncoder(buf).Encode(w); err != nil {
-		return nil, fmt.Errorf("serialize: encode task %d: %w", w.ID, err)
-	}
-	return bytes.Clone(buf.Bytes()), nil
-}
-
-// DecodeWire decodes a one-shot envelope without touching the argument
-// payload — what brokers use to route on the envelope alone.
-func DecodeWire(b []byte) (WireTask, error) {
-	var w WireTask
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
-		return WireTask{}, fmt.Errorf("serialize: decode task: %w", err)
-	}
-	return w, nil
-}
-
-// EncodeTask serializes a TaskMsg as one self-describing message (the
-// one-shot framing; see the package comment for when streaming applies).
-// An attached payload is reused verbatim.
-func EncodeTask(m TaskMsg) ([]byte, error) {
-	w, err := m.Wire()
-	if err != nil {
-		return nil, err
-	}
-	return EncodeWire(w)
-}
-
-// DecodeTask deserializes a one-shot TaskMsg, decoding the argument payload
-// and leaving it attached for onward hops.
-func DecodeTask(b []byte) (TaskMsg, error) {
-	w, err := DecodeWire(b)
-	if err != nil {
-		return TaskMsg{}, err
-	}
-	return w.Task()
-}
-
-// EncodeResult serializes a ResultMsg.
-func EncodeResult(m ResultMsg) ([]byte, error) {
-	buf := getBuf()
-	defer putBuf(buf)
-	if err := gob.NewEncoder(buf).Encode(m); err != nil {
-		return nil, fmt.Errorf("serialize: encode result %d: %w", m.ID, err)
-	}
-	return bytes.Clone(buf.Bytes()), nil
-}
-
-// DecodeResult deserializes a ResultMsg.
-func DecodeResult(b []byte) (ResultMsg, error) {
-	var m ResultMsg
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&m); err != nil {
-		return ResultMsg{}, fmt.Errorf("serialize: decode result: %w", err)
-	}
-	return m, nil
 }
 
 // DeepCopyArgs produces the defensive copy handed to in-process executors so

@@ -99,11 +99,15 @@ func TestTaskRoundTrip(t *testing.T) {
 		Args:   []any{"chr1", 3, 2.5, []string{"a", "b"}},
 		Kwargs: map[string]any{"threads": 4},
 	}
-	b, err := EncodeTask(m)
+	w, err := m.Wire()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeTask(b)
+	ws, err := ParseTasks(AppendTasks(nil, []WireTask{w}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ws[0].Task()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,24 +124,20 @@ func TestTaskRoundTrip(t *testing.T) {
 
 func TestResultRoundTrip(t *testing.T) {
 	m := ResultMsg{ID: 7, Value: "done", Err: "", WorkerID: "w3"}
-	b, err := EncodeResult(m)
+	rs, err := ParseResults(AppendResults(nil, []ResultMsg{m}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeResult(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != m {
+	if got := rs[0]; got != m {
 		t.Fatalf("round trip: %+v != %+v", got, m)
 	}
 }
 
 func TestDecodeGarbage(t *testing.T) {
-	if _, err := DecodeTask([]byte("garbage")); err == nil {
+	if _, err := ParseTasks([]byte("garbage")); err == nil {
 		t.Fatal("garbage decoded as task")
 	}
-	if _, err := DecodeResult([]byte{1, 2, 3}); err == nil {
+	if _, err := ParseResults([]byte{1, 2, 3}); err == nil {
 		t.Fatal("garbage decoded as result")
 	}
 }
@@ -209,11 +209,15 @@ func TestArgsHashErrorOnUnencodable(t *testing.T) {
 func TestQuickTaskRoundTrip(t *testing.T) {
 	prop := func(id int64, app string, i int, s string, f float64) bool {
 		m := TaskMsg{ID: id, App: app, Args: []any{i, s, f}}
-		b, err := EncodeTask(m)
+		w, err := m.Wire()
 		if err != nil {
 			return false
 		}
-		got, err := DecodeTask(b)
+		ws, err := ParseTasks(AppendTasks(nil, []WireTask{w}))
+		if err != nil || len(ws) != 1 {
+			return false
+		}
+		got, err := ws[0].Task()
 		if err != nil {
 			return false
 		}

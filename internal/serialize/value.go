@@ -4,23 +4,24 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"math"
 	"sort"
 )
 
-// The compact value codec behind encode-once payloads.
+// The compact value codec behind encode-once payloads and wire frames.
 //
 // gob is self-describing: every independent stream re-transmits type
 // descriptors, and every fresh decoder re-parses and re-compiles them —
-// a fixed ~10µs+ tax per payload that dwarfs the actual argument bytes for
+// a fixed ~10µs+ tax per message that dwarfs the actual argument bytes for
 // the small-argument tasks the paper's throughput experiments submit
-// (§4.3.1 targets >1000 tasks/s). Since a payload is decoded exactly once,
-// by the worker about to run the task, that tax cannot be amortized the way
-// the per-connection streaming codecs amortize it for wire envelopes.
+// (§4.3.1 targets >1000 tasks/s). A payload is decoded exactly once, by the
+// worker about to run the task, and a wire frame (frame.go) is decoded by
+// whichever peer receives it, with no session to amortize the tax over.
 //
-// So payloads encode the common argument shapes — nil, bool, integers,
-// floats, strings, byte/str/int/float slices, []any, string-keyed maps —
-// with a one-byte tag plus a fixed little encoding each, and fall back to a
+// So payloads and result values encode the common shapes — nil, bool,
+// integers, floats, strings, byte/str/int/float slices, []any, string-keyed
+// maps — with a one-byte tag plus a fixed little encoding each, and fall back to a
 // length-prefixed self-contained gob stream only for registered user types.
 // The format is fully deterministic for the fast-path shapes (maps encode
 // sorted), which is what lets the memoization hash be a plain digest of the
@@ -47,8 +48,8 @@ const (
 	vGob      // varint length + self-contained gob stream of *any
 )
 
-// valueWriter appends the codec's primitives to a byte slice (kept on a
-// pooled bytes.Buffer by the caller).
+// valueWriter appends the codec's primitives to a byte slice owned by the
+// caller (a pooled payload or frame buffer).
 type valueWriter struct {
 	b []byte
 }
@@ -201,16 +202,18 @@ func (r *valueReader) take(n uint64) ([]byte, error) {
 	return out, nil
 }
 
-func (r *valueReader) str() (string, error) {
+// bytes reads a varint length and that many bytes, aliasing the input.
+func (r *valueReader) bytes() ([]byte, error) {
 	n, err := r.uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	raw, err := r.take(n)
-	if err != nil {
-		return "", err
-	}
-	return string(raw), nil
+	return r.take(n)
+}
+
+func (r *valueReader) str() (string, error) {
+	raw, err := r.bytes()
+	return string(raw), err
 }
 
 func (r *valueReader) u64() (uint64, error) {
@@ -259,11 +262,7 @@ func (r *valueReader) decodeValue() (any, error) {
 	case vString:
 		return r.str()
 	case vBytes:
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		raw, err := r.take(n)
+		raw, err := r.bytes()
 		if err != nil {
 			return nil, err
 		}
@@ -355,16 +354,12 @@ func (r *valueReader) decodeValue() (any, error) {
 		}
 		return out, nil
 	case vGob:
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		raw, err := r.take(n)
+		raw, err := r.bytes()
 		if err != nil {
 			return nil, err
 		}
 		var v any
-		if err := gob.NewDecoder(newFeed(raw)).Decode(&v); err != nil {
+		if err := gob.NewDecoder(&frameFeed{b: raw}).Decode(&v); err != nil {
 			return nil, fmt.Errorf("serialize: decode gob value: %w", err)
 		}
 		return v, nil
@@ -373,6 +368,25 @@ func (r *valueReader) decodeValue() (any, error) {
 	}
 }
 
-// newFeed wraps raw bytes in a reader implementing io.ByteReader so gob
-// does not add its own bufio layer.
-func newFeed(raw []byte) *frameFeed { return &frameFeed{b: raw} }
+// frameFeed is an io.Reader over exactly one embedded gob stream.
+// Implementing io.ByteReader keeps gob from wrapping it in a bufio.Reader,
+// so the decoder consumes precisely the embedded bytes.
+type frameFeed struct{ b []byte }
+
+func (f *frameFeed) Read(p []byte) (int, error) {
+	if len(f.b) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, f.b)
+	f.b = f.b[n:]
+	return n, nil
+}
+
+func (f *frameFeed) ReadByte() (byte, error) {
+	if len(f.b) == 0 {
+		return 0, io.EOF
+	}
+	c := f.b[0]
+	f.b = f.b[1:]
+	return c, nil
+}

@@ -89,7 +89,7 @@ func (c *ChaosConfig) normalize() {
 }
 
 // DefaultChaosPlan arms every fault point with modest probabilities: enough
-// that a run exercises drop, duplication, corruption, stream resync, manager
+// that a run exercises drop, duplication, corruption, NACK repair, manager
 // death, injected panics, and dispatch failures, while a Retries-deep budget
 // still drives every task to completion.
 func DefaultChaosPlan() chaos.Plan {
